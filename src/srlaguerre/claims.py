@@ -432,10 +432,14 @@ def _q_factorial_counter(n: int) -> Counter:
 def _mahonian_claim(names: Sequence[str]) -> Callable[[int, object], "str | None"]:
     def test(n: int, _: object) -> str | None:
         expected = _q_factorial_counter(n)
-        perms = list(iter_perms(n))
+        # Permutations outside, so each one's ingredients are computed once
+        # for all names; failures are still reported in registry order.
+        got = {name: Counter() for name in names}
+        for pi in iter_perms(n):
+            for name in names:
+                got[name][mahonian(pi, name)] += 1
         for name in names:
-            got = Counter(mahonian(pi, name) for pi in perms)
-            if got != expected:
+            if got[name] != expected:
                 return f"{name} is not Mahonian at n={n}"
         return None
 

@@ -61,6 +61,14 @@ EXIT_UNKNOWN_NAME = 5
 DEFAULT_MAX_N = 10
 
 
+class _Exit(Exception):
+    """Ends a subcommand with an error message and an exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _max_n() -> int:
     raw = os.environ.get("LAGUERRE_MAX_N")
     if raw is None:
@@ -68,7 +76,17 @@ def _max_n() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_N
+        raise _Exit(EXIT_BAD_ARGS,
+                    f"LAGUERRE_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _parse_perm(text: str) -> Permutation:
+    try:
+        return Permutation.from_text(text)
+    except NotAPermutation as exc:
+        raise _Exit(EXIT_INVARIANT, str(exc)) from None
+    except ValueError as exc:
+        raise _Exit(EXIT_PARSE, str(exc)) from None
 
 
 def _perm_text(pi: Permutation, fmt: str) -> str:
@@ -140,15 +158,7 @@ _HISTORY_MAPS = {
 def cmd_map(args: argparse.Namespace) -> int:
     via = args.via
     if via in _PERM_MAPS:
-        try:
-            pi = Permutation.from_text(args.input)
-        except NotAPermutation as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        image = _PERM_MAPS[via](pi)
+        image = _PERM_MAPS[via](_parse_perm(args.input))
     else:
         try:
             history = LaguerreHistory.from_text(args.input)
@@ -180,14 +190,7 @@ def _record_json(record) -> dict:
 
 
 def cmd_stat(args: argparse.Namespace) -> int:
-    try:
-        pi = Permutation.from_text(args.perm)
-    except NotAPermutation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pi = _parse_perm(args.perm)
     if args.stat == "all":
         report = {
             "linear": _record_json(linear_family(pi)),
@@ -216,7 +219,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         print(f"error: n must be in 1..{_max_n()}", file=sys.stderr)
         return EXIT_BAD_ARGS
     stats = [s for s in args.stats.split(",") if s] if args.stats else []
-    pattern = tuple(int(ch) for ch in args.filter) if args.filter else None
+    pattern = _parse_perm(args.filter).word if args.filter else None
     try:
         poly = joint_distribution(args.n, stats, pattern)
     except UnknownStatistic as exc:
@@ -353,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,16 @@ Covers the linear family (descents, descent tops/bottoms, ascent bottoms,
 descent differences and bottom sums), the cyclic family (excedances, side
 numbers, inversion-entry multisets), the shifted-cyclic family (nestings and
 their variant around the position of 1), vincular pattern counters, and a
-registry of Mahonian statistics built from these ingredients.
+registry of 35 Mahonian statistics.
+
+The registry is a formula table, ``MAHONIAN_TABLE``: each statistic is an
+integer combination of ingredients (vincular pattern counts and family
+cardinalities) plus a closed-form term in n, in the manner of
+Babson and Steingrimsson's pattern-sum statistics.  Each ingredient has its
+own kernel on the one-line word, which builds no family record; the
+inversion-type ones use a Fenwick tree and run in O(n log n).  Ingredients
+are computed on first use and cached per word, so one statistic pays only
+for what its formula names.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .multiset import IntMultiset
 
@@ -642,10 +651,158 @@ def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMul
 # Mahonian statistic registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY_PATTERNS = (
-    "u21", "u12", "1u32", "2u31", "2u13", "3u21", "3u12",
-    "u23_1", "u31_2", "u32_1", "u13_2", "u21_3", "u12_3",
-)
+def _inversions(letters: Sequence[int], size: int) -> int:
+    """Inversions of a sequence of distinct letters from 1..size, by a
+    Fenwick tree over the letters seen so far, in O(n log n)."""
+    tree = [0] * (size + 1)
+    total = 0
+    for seen, v in enumerate(letters):
+        i = v
+        while i:
+            total -= tree[i]
+            i &= i - 1
+        total += seen
+        i = v
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return total
+
+
+def _one_glue_kernel(literal: str) -> Callable[[tuple[int, ...]], int]:
+    """Fenwick-tree counter of a length-3 pattern with one glued pair.
+
+    The glued pair sits at host positions j, j+1.  The free letter is
+    counted among the letters before j (pattern glued at 2) or after j+1
+    (glued at 1) by its rank against the pair: the letters of a rank after
+    the pair are all letters of that rank less those before it.
+    """
+    pattern = parse_vincular(literal)
+    (glue,) = pattern.glued
+    a, b, c = pattern.values
+    rising = b < c if glue == 2 else a < b
+    rank = a if glue == 2 else c
+    after = glue == 1
+
+    def kernel(word: tuple[int, ...]) -> int:
+        n = len(word)
+        tree = [0] * (n + 1)
+        total = 0
+        for j in range(n - 1):
+            x, y = word[j], word[j + 1]
+            if (x < y) == rising:
+                lo, hi = (x, y) if x < y else (y, x)
+                # Letters before j below lo and below hi; the Fenwick
+                # queries are inlined, as this loop is the registry's hot spot.
+                below_lo = below_hi = 0
+                if rank != 3:
+                    i = lo - 1
+                    while i:
+                        below_lo += tree[i]
+                        i &= i - 1
+                if rank != 1:
+                    i = hi - 1
+                    while i:
+                        below_hi += tree[i]
+                        i &= i - 1
+                if rank == 1:
+                    before, of_rank = below_lo, lo - 1
+                elif rank == 2:
+                    before, of_rank = below_hi - below_lo, hi - lo - 1
+                else:
+                    before, of_rank = j - below_hi, n - hi
+                total += of_rank - before if after else before
+            i = x
+            while i <= n:
+                tree[i] += 1
+                i += i & -i
+        return total
+
+    return kernel
+
+
+def _des(word: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+
+
+def _adjacent_ascents(word: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(word, word[1:]) if a < b)
+
+
+def _dbot(word: tuple[int, ...]) -> int:
+    """|Dbot|: each descent bottom b counted b times."""
+    return sum(b for a, b in zip(word, word[1:]) if a > b)
+
+
+def _ddif(word: tuple[int, ...]) -> int:
+    """|Ddif|: the sum of descent drops."""
+    return sum(a - b for a, b in zip(word, word[1:]) if a > b)
+
+
+def _exc(word: tuple[int, ...]) -> int:
+    return sum(1 for i, v in enumerate(word, start=1) if v > i)
+
+
+def _ebot(word: tuple[int, ...]) -> int:
+    """|Ebot|: each excedance position i counted i times."""
+    return sum(i for i, v in enumerate(word, start=1) if v > i)
+
+
+def _edif(word: tuple[int, ...]) -> int:
+    """|Edif|: the sum of excedance rises."""
+    return sum(v - i for i, v in enumerate(word, start=1) if v > i)
+
+
+def _ine(word: tuple[int, ...]) -> int:
+    """|Ine|, the sum of side numbers: the inversions inside the excedance
+    subword plus those inside the non-excedance subword."""
+    exc = [v for i, v in enumerate(word, start=1) if v > i]
+    nexc = [v for i, v in enumerate(word, start=1) if v <= i]
+    return _inversions(exc, len(word)) + _inversions(nexc, len(word))
+
+
+def _pone(word: tuple[int, ...]) -> int:
+    return word.index(1) + 1
+
+
+def _last(word: tuple[int, ...]) -> int:
+    return word[-1] if word else 0
+
+
+def _vbot(word: tuple[int, ...]) -> int:
+    """|Vbot|: each i in [n-1] whose successor i+1 is no excedance value,
+    counted i times."""
+    position = _invert(word)
+    return sum(i for i in range(1, len(word)) if position[i] > i)
+
+
+def _vedif(word: tuple[int, ...]) -> int:
+    """|Vedif|: excedance rises less one each, plus the n - pone letters
+    after the position of 1."""
+    rises = sum(v - i - 1 for i, v in enumerate(word, start=1) if v > i)
+    return rises + len(word) - _pone(word)
+
+
+def _vnest(word: tuple[int, ...]) -> int:
+    """|Vnest|, the sum of variant nesting numbers.
+
+    nest_i counts the larger letters left of an excedance i, and the
+    smaller letters right of a non-excedance i, of which there are
+    v - i plus the larger letters to its left.  Summed, the larger letters
+    to the left make inv.  vnest_i then moves nest_i by one around pone.
+    """
+    pone = _pone(word)
+    total = _inversions(word, len(word))
+    for i, v in enumerate(word, start=1):
+        if v <= i:
+            total += v - i - (i < pone)
+        elif i > pone:
+            total += 1
+    return total
+
+
+def _inv(word: tuple[int, ...]) -> int:
+    return _inversions(word, len(word))
 
 
 def _sorting_index(word: tuple[int, ...]) -> int:
@@ -663,138 +820,142 @@ def _sorting_index(word: tuple[int, ...]) -> int:
     return total
 
 
+_KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
+    "n": len,
+    "last": _last,
+    "pone": _pone,
+    "u21": _des,
+    "u12": _adjacent_ascents,
+    **{literal: _one_glue_kernel(literal) for literal in (
+        "1u32", "2u31", "2u13", "3u21", "3u12",
+        "u23_1", "u31_2", "u32_1", "u13_2", "u21_3", "u12_3")},
+    "des": _des,
+    "dbot": _dbot,
+    "ddif": _ddif,
+    "exc": _exc,
+    "ebot": _ebot,
+    "edif": _edif,
+    "ine": _ine,
+    "vbot": _vbot,
+    "vedif": _vedif,
+    "vnest": _vnest,
+    "inv": _inv,
+    "sor": _sorting_index,
+}
+
+
+class _Ingredients(dict):
+    """Ingredient values of one word, each computed on first lookup."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        super().__init__()
+        self.word = word
+
+    def __missing__(self, name: str) -> int:
+        value = self[name] = _KERNELS[name](self.word)
+        return value
+
+
 @lru_cache(maxsize=4096)
 def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
-    """All numeric ingredients the Mahonian registry draws from."""
-    pi = Permutation(word)
-    n = len(word)
-    g: dict[str, int] = {"n": n, "last": word[-1] if n else 0}
-    for literal in _REGISTRY_PATTERNS:
-        g[literal] = vincular_count(pi, literal)
-    lin = linear_family(pi)
-    g["des"] = lin.des
-    g["dbot"] = lin.dbot
-    g["ddif"] = lin.ddif
-    cyc = cyclic_family(pi)
-    g["exc"] = cyc.exc
-    g["ebot"] = cyc.ebot
-    g["edif"] = cyc.edif
-    g["ine"] = cyc.ine
-    sh = shifted_family(pi)
-    g["pone"] = sh.pone
-    g["vbot"] = sh.Vbot.cardinality
-    g["vedif"] = sh.Vedif.cardinality
-    g["vnest"] = sh.Vnest.cardinality
-    g["inv"] = sum(
-        1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
-    )
-    g["sor"] = _sorting_index(word)
-    return g
+    """The lazily filled ingredient values of a word.
+
+    The cache serves callers that evaluate several statistics of one
+    permutation through separate calls, as joint_distribution does.
+    """
+    return _Ingredients(word)
 
 
-def _mahonian_value(g: dict[str, int], name: str) -> int:
-    n = g["n"]
-    if name == "maj":
-        return g["1u32"] + g["2u31"] + g["3u21"] + g["u21"]
-    if name == "inv":
-        return g["u23_1"] + g["u31_2"] + g["u32_1"] + g["u21"]
-    if name == "mak":
-        return g["dbot"] + g["2u31"]
-    if name == "makl":
-        return g["dbot"] + g["u31_2"]
-    if name == "mad":
-        return g["ddif"] + g["2u31"]
-    if name == "madl":
-        return g["ddif"] + g["u31_2"]
-    if name == "bast":
-        return g["u13_2"] + g["u21_3"] + g["u32_1"] + g["u21"]
-    if name == "bast_p":
-        return g["u13_2"] + g["u31_2"] + g["u32_1"] + g["u21"]
-    if name == "bast_pp":
-        return g["1u32"] + g["3u12"] + g["3u21"] + g["u21"]
-    if name == "foze":
-        return g["u21_3"] + g["3u21"] + g["u13_2"] + g["u21"]
-    if name == "foze_p":
-        return g["1u32"] + 2 * g["2u31"] + g["u21"]
-    if name == "foze_pp":
-        return g["u23_1"] + 2 * g["u31_2"] + g["u21"]
-    if name == "sist":
-        return 2 * g["u13_2"] + g["2u13"] + g["u21"]
-    if name == "sist_p":
-        return 2 * g["u13_2"] + g["2u31"] + g["u21"]
-    if name == "sist_pp":
-        return g["u13_2"] + 2 * g["2u31"] + g["u21"]
-    if name == "den":
-        return g["ebot"] + g["ine"]
-    if name == "sor":
-        return g["sor"]
-    if name == "mak_p":
-        return (_mahonian_value(g, "mak") + (1 - n) * g["des"]
-                + g["last"] + n * (n - 3) // 2)
-    if name == "mad_p":
-        return _mahonian_value(g, "mad") + 2 * g["last"] - n - 1
-    if name == "makl_p":
-        return _mahonian_value(g, "makl") - n * g["des"] + n * (n - 1) // 2
-    if name == "madl_p":
-        return _mahonian_value(g, "madl") - g["des"] + g["last"] - 1
-    if name == "fz3":
-        return g["ebot"] + g["edif"] - g["exc"] - g["ine"]
-    if name == "fz4":
-        return 2 * g["edif"] - g["exc"] - g["ine"]
-    if name == "inv_p":
-        return g["inv"] + 2 * g["last"] - 1 - n
-    if name == "den_p":
-        return (_mahonian_value(g, "den") + (1 - n) * g["exc"]
-                + g["last"] + n * (n - 3) // 2)
-    if name == "fz3_p":
-        return _mahonian_value(g, "fz3") - n * g["exc"] + n * (n - 1) // 2
-    if name == "fz4_p":
-        return _mahonian_value(g, "fz4") - g["exc"] + g["last"] - 1
-    if name == "yzl1":
-        return g["vbot"] + g["vnest"]
-    if name == "yzl2":
-        return g["vedif"] + g["vnest"]
-    if name == "yzl3":
-        return g["vbot"] + g["vedif"] - (n - 1 - g["exc"]) - g["vnest"]
-    if name == "yzl4":
-        return 2 * g["vedif"] - (n - 1 - g["exc"]) - g["vnest"]
-    if name == "yzl1_p":
-        return (_mahonian_value(g, "yzl1") + (n - 1) * g["exc"]
-                + g["pone"] + (-n * n + n - 2) // 2)
-    if name == "yzl2_p":
-        return _mahonian_value(g, "yzl2") + 2 * g["pone"] - n - 1
-    if name == "yzl3_p":
-        return _mahonian_value(g, "yzl3") + n * g["exc"] - n * (n - 1) // 2
-    if name == "yzl4_p":
-        return _mahonian_value(g, "yzl4") + g["exc"] + g["pone"] - n
-    raise UnknownStatistic(name)
+class MahonianFormula(NamedTuple):
+    """A statistic as integer data over the registry's ingredients.
+
+    Its value is k0 + k1*n + k2*C(n,2) for ``const`` = (k0, k1, k2), plus
+    (c0 + c1*n) * ingredient for each (ingredient, c0, c1) in ``terms``.
+    """
+
+    terms: tuple[tuple[str, int, int], ...]
+    const: tuple[int, int, int] = (0, 0, 0)
+
+    def evaluate(self, g: dict[str, int]) -> int:
+        n = g["n"]
+        k0, k1, k2 = self.const
+        value = k0 + k1 * n + k2 * (n * (n - 1) // 2)
+        for name, c0, c1 in self.terms:
+            value += (c0 + c1 * n) * g[name]
+        return value
 
 
-MAHONIAN_NAMES: tuple[str, ...] = (
-    "maj", "inv", "mak", "makl", "mad", "madl",
-    "bast", "bast_p", "bast_pp", "foze", "foze_p", "foze_pp",
-    "sist", "sist_p", "sist_pp", "den", "sor",
-    "mak_p", "mad_p", "makl_p", "madl_p", "fz3", "fz4",
-    "inv_p", "den_p", "fz3_p", "fz4_p",
-    "yzl1", "yzl2", "yzl3", "yzl4",
-    "yzl1_p", "yzl2_p", "yzl3_p", "yzl4_p",
-)
+def _formula(*terms: str | tuple[str, int, int],
+             const: tuple[int, int, int] = (0, 0, 0)) -> MahonianFormula:
+    """A bare ingredient name in ``terms`` stands for coefficient 1."""
+    return MahonianFormula(
+        tuple((t, 1, 0) if isinstance(t, str) else t for t in terms), const)
+
+
+# Registry order is the order claims report failures in.
+MAHONIAN_TABLE: dict[str, MahonianFormula] = {
+    "maj": _formula("1u32", "2u31", "3u21", "u21"),
+    "inv": _formula("u23_1", "u31_2", "u32_1", "u21"),
+    "mak": _formula("dbot", "2u31"),
+    "makl": _formula("dbot", "u31_2"),
+    "mad": _formula("ddif", "2u31"),
+    "madl": _formula("ddif", "u31_2"),
+    "bast": _formula("u13_2", "u21_3", "u32_1", "u21"),
+    "bast_p": _formula("u13_2", "u31_2", "u32_1", "u21"),
+    "bast_pp": _formula("1u32", "3u12", "3u21", "u21"),
+    "foze": _formula("u21_3", "3u21", "u13_2", "u21"),
+    "foze_p": _formula("1u32", ("2u31", 2, 0), "u21"),
+    "foze_pp": _formula("u23_1", ("u31_2", 2, 0), "u21"),
+    "sist": _formula(("u13_2", 2, 0), "2u13", "u21"),
+    "sist_p": _formula(("u13_2", 2, 0), "2u31", "u21"),
+    "sist_pp": _formula("u13_2", ("2u31", 2, 0), "u21"),
+    "den": _formula("ebot", "ine"),
+    "sor": _formula("sor"),
+    "mak_p": _formula("dbot", "2u31", ("des", 1, -1), "last", const=(0, -1, 1)),
+    "mad_p": _formula("ddif", "2u31", ("last", 2, 0), const=(-1, -1, 0)),
+    "makl_p": _formula("dbot", "u31_2", ("des", 0, -1), const=(0, 0, 1)),
+    "madl_p": _formula("ddif", "u31_2", ("des", -1, 0), "last", const=(-1, 0, 0)),
+    "fz3": _formula("ebot", "edif", ("exc", -1, 0), ("ine", -1, 0)),
+    "fz4": _formula(("edif", 2, 0), ("exc", -1, 0), ("ine", -1, 0)),
+    "inv_p": _formula("inv", ("last", 2, 0), const=(-1, -1, 0)),
+    "den_p": _formula("ebot", "ine", ("exc", 1, -1), "last", const=(0, -1, 1)),
+    "fz3_p": _formula("ebot", "edif", ("exc", -1, -1), ("ine", -1, 0),
+                      const=(0, 0, 1)),
+    "fz4_p": _formula(("edif", 2, 0), ("exc", -2, 0), ("ine", -1, 0), "last",
+                      const=(-1, 0, 0)),
+    "yzl1": _formula("vbot", "vnest"),
+    "yzl2": _formula("vedif", "vnest"),
+    "yzl3": _formula("vbot", "vedif", "exc", ("vnest", -1, 0), const=(1, -1, 0)),
+    "yzl4": _formula(("vedif", 2, 0), "exc", ("vnest", -1, 0), const=(1, -1, 0)),
+    "yzl1_p": _formula("vbot", "vnest", ("exc", -1, 1), "pone",
+                       const=(-1, 0, -1)),
+    "yzl2_p": _formula("vedif", "vnest", ("pone", 2, 0), const=(-1, -1, 0)),
+    "yzl3_p": _formula("vbot", "vedif", ("exc", 1, 1), ("vnest", -1, 0),
+                       const=(1, -1, -1)),
+    "yzl4_p": _formula(("vedif", 2, 0), ("exc", 2, 0), ("vnest", -1, 0), "pone",
+                       const=(1, -2, 0)),
+}
+
+MAHONIAN_NAMES: tuple[str, ...] = tuple(MAHONIAN_TABLE)
 
 
 def mahonian(pi: Permutation, stat_id: str) -> int:
     """Evaluate a registered Mahonian statistic."""
-    if stat_id not in MAHONIAN_NAMES:
+    formula = MAHONIAN_TABLE.get(stat_id)
+    if formula is None:
         raise UnknownStatistic(stat_id)
-    return _mahonian_value(_ingredients(pi.word), stat_id)
+    return formula.evaluate(_ingredients(pi.word))
 
 
 _SIMPLE_STATS: dict[str, Callable[[Permutation], int]] = {
-    "des": lambda pi: linear_family(pi).des,
-    "ides": lambda pi: linear_family(pi).ides,
-    "exc": lambda pi: cyclic_family(pi).exc,
-    "nexc": lambda pi: cyclic_family(pi).nexc,
-    "pone": lambda pi: shifted_family(pi).pone,
-    "last": lambda pi: pi.value(pi.n),
+    "des": lambda pi: _des(pi.word),
+    "ides": lambda pi: _des(pi.inverse_word),
+    "exc": lambda pi: _exc(pi.word),
+    "nexc": lambda pi: pi.n - _exc(pi.word),
+    "pone": lambda pi: _pone(pi.word),
+    "last": lambda pi: _last(pi.word),
 }
 
 
@@ -804,7 +965,7 @@ def statistic(name: str) -> Callable[[Permutation], int]:
     Accepts the Mahonian registry names, the simple names des / ides / exc /
     nexc / pone / last, and vincular pattern literals.
     """
-    if name in MAHONIAN_NAMES:
+    if name in MAHONIAN_TABLE:
         return lambda pi: mahonian(pi, name)
     if name in _SIMPLE_STATS:
         return _SIMPLE_STATS[name]

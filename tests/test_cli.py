@@ -157,3 +157,34 @@ def test_moments(capsys):
     code, out = run_cli(capsys, "moments", "--alpha", "1", "--count", "4")
     assert code == 0
     assert values(out) == [1, 2, 6, 24]
+
+
+def test_distribution_filter_readme_example(capsys):
+    code, out = run_cli(capsys, "distribution", "--n", "4", "--stats", "des",
+                        "--filter", "3,1,2")
+    assert (code, out.strip()) == (0, "1 + 6 q + 6 q^2 + q^3")
+
+
+def test_distribution_filter_bare_digits(capsys):
+    code, out = run_cli(capsys, "distribution", "--n", "4", "--stats", "des",
+                        "--filter", "312")
+    assert (code, out.strip()) == (0, "1 + 6 q + 6 q^2 + q^3")
+
+
+def test_distribution_filter_parse_failure(capsys):
+    assert run_cli(capsys, "distribution", "--n", "3", "--stats", "des",
+                   "--filter", "ab")[0] == 3
+
+
+def test_distribution_filter_not_a_permutation(capsys):
+    assert run_cli(capsys, "distribution", "--n", "3", "--stats", "des",
+                   "--filter", "11")[0] == 4
+
+
+def test_max_n_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("LAGUERRE_MAX_N", "abc")
+    code = main(["enumerate", "--n", "3", "--kind", "perms"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "LAGUERRE_MAX_N" in captured.err
