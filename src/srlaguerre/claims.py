@@ -49,6 +49,7 @@ from .perm_stats import (
     mahonian,
     pattern_multisets,
     shifted_family,
+    statistic,
     trivial_bijection,
     vincular_count,
 )
@@ -387,13 +388,12 @@ def _test_extrema_counting(n: int, pi: Permutation) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _stat_bundle(pi: Permutation) -> tuple[int, int, int, int, int]:
-    lin = linear_family(pi)
     return (
         vincular_count(pi, "u31_2"),
         vincular_count(pi, "2u13"),
         vincular_count(pi, "2u31"),
-        lin.des,
-        lin.ides,
+        statistic("des")(pi),
+        statistic("ides")(pi),
     )
 
 
@@ -468,7 +468,7 @@ def _test_pattern_sum_identity_a(n: int, pi: Permutation) -> str | None:
 
 
 def _test_pattern_sum_identity_b(n: int, pi: Permutation) -> str | None:
-    des = linear_family(pi).des
+    des = statistic("des")(pi)
     lhs = (
         vincular_count(pi, "3u12")
         + vincular_count(pi, "u12_3")

@@ -19,7 +19,7 @@ for what its formula names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -501,12 +501,14 @@ class VincularPattern:
             raise PatternSyntaxError(f"glued positions out of range: {self.glued}")
 
 
+@lru_cache(maxsize=128)
 def parse_vincular(literal: str) -> VincularPattern:
     """Parse a pattern literal such as ``2u31`` or ``u31_2``.
 
     Digits are pattern letters; ``u`` glues the digit run that follows it
     (terminated by ``_``, another ``u``, or end of string); ``_`` is a
-    separator carrying no adjacency requirement.
+    separator carrying no adjacency requirement.  Patterns are immutable,
+    so a literal is parsed once and reused by ``vincular_count``.
     """
     values: list[int] = []
     glued: set[int] = set()
@@ -529,35 +531,76 @@ def parse_vincular(literal: str) -> VincularPattern:
     return VincularPattern(tuple(values), frozenset(glued))
 
 
-def _stratum_count(letters: Iterable[int], rank: int, lo: int, hi: int) -> int:
-    """Count letters that could play pattern rank ``rank`` against {lo, hi}."""
-    if rank == 1:
-        return sum(1 for u in letters if u < lo)
-    if rank == 2:
-        return sum(1 for u in letters if lo < u < hi)
-    return sum(1 for u in letters if u > hi)
+def _inversions(letters: Sequence[int], size: int) -> int:
+    """Inversions of a sequence of distinct letters from 1..size, by a
+    Fenwick tree over the letters seen so far, in O(n log n)."""
+    tree = [0] * (size + 1)
+    total = 0
+    for seen, v in enumerate(letters):
+        i = v
+        while i:
+            total -= tree[i]
+            i &= i - 1
+        total += seen
+        i = v
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return total
+
+
+def _des(word: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+
+
+def _adjacent_ascents(word: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(word, word[1:]) if a < b)
 
 
 def _count3_one_glue(word: tuple[int, ...], values: tuple[int, ...], glue: int) -> int:
-    """Length-3 pattern with a single glued pair, in O(n^2)."""
+    """Length-3 pattern with a single glued pair, in O(n log n).
+
+    The glued pair sits at host positions j, j+1.  The free letter is
+    counted among the letters before j (pattern glued at 2) or after j+1
+    (glued at 1) by its rank against the pair, with a Fenwick tree over the
+    letters before j: the letters of a rank after the pair are all letters
+    of that rank less those before it.
+    """
+    a, b, c = values
+    rising = b < c if glue == 2 else a < b
+    rank = a if glue == 2 else c
+    after = glue == 1
     n = len(word)
+    tree = [0] * (n + 1)
     total = 0
-    if glue == 2:
-        a, b, c = values
-        for j in range(1, n - 1):
-            x, y = word[j], word[j + 1]
-            if (x < y) != (b < c):
-                continue
-            lo, hi = min(x, y), max(x, y)
-            total += _stratum_count(word[:j], a, lo, hi)
-    else:
-        a, b, c = values
-        for j in range(n - 1):
-            x, y = word[j], word[j + 1]
-            if (x < y) != (a < b):
-                continue
-            lo, hi = min(x, y), max(x, y)
-            total += _stratum_count(word[j + 2:], c, lo, hi)
+    for j in range(n - 1):
+        x, y = word[j], word[j + 1]
+        if (x < y) == rising:
+            lo, hi = (x, y) if x < y else (y, x)
+            # Letters before j below lo and below hi; the Fenwick queries
+            # are inlined, as this loop is the Mahonian registry's hot spot.
+            below_lo = below_hi = 0
+            if rank != 3:
+                i = lo - 1
+                while i:
+                    below_lo += tree[i]
+                    i &= i - 1
+            if rank != 1:
+                i = hi - 1
+                while i:
+                    below_hi += tree[i]
+                    i &= i - 1
+            if rank == 1:
+                before, of_rank = below_lo, lo - 1
+            elif rank == 2:
+                before, of_rank = below_hi - below_lo, hi - lo - 1
+            else:
+                before, of_rank = j - below_hi, n - hi
+            total += of_rank - before if after else before
+        i = x
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
     return total
 
 
@@ -602,14 +645,10 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
     if k == 1:
         return n
     if k == 2:
-        descending = values == (2, 1)
         if 1 in glued:
-            return sum(1 for i in range(n - 1) if (word[i] > word[i + 1]) == descending)
-        total = 0
-        for i in range(n):
-            rest = word[i + 1:]
-            total += sum(1 for u in rest if (word[i] > u) == descending)
-        return total
+            return _des(word) if values == (2, 1) else _adjacent_ascents(word)
+        inversions = _inversions(word, n)
+        return inversions if values == (2, 1) else n * (n - 1) // 2 - inversions
     if k == 3 and len(glued) == 1:
         return _count3_one_glue(word, values, next(iter(glued)))
     return _count_generic(word, values, glued)
@@ -651,82 +690,11 @@ def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMul
 # Mahonian statistic registry
 # ---------------------------------------------------------------------------
 
-def _inversions(letters: Sequence[int], size: int) -> int:
-    """Inversions of a sequence of distinct letters from 1..size, by a
-    Fenwick tree over the letters seen so far, in O(n log n)."""
-    tree = [0] * (size + 1)
-    total = 0
-    for seen, v in enumerate(letters):
-        i = v
-        while i:
-            total -= tree[i]
-            i &= i - 1
-        total += seen
-        i = v
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
-    return total
-
-
 def _one_glue_kernel(literal: str) -> Callable[[tuple[int, ...]], int]:
-    """Fenwick-tree counter of a length-3 pattern with one glued pair.
-
-    The glued pair sits at host positions j, j+1.  The free letter is
-    counted among the letters before j (pattern glued at 2) or after j+1
-    (glued at 1) by its rank against the pair: the letters of a rank after
-    the pair are all letters of that rank less those before it.
-    """
+    """``_count3_one_glue`` bound to a pattern literal parsed once."""
     pattern = parse_vincular(literal)
     (glue,) = pattern.glued
-    a, b, c = pattern.values
-    rising = b < c if glue == 2 else a < b
-    rank = a if glue == 2 else c
-    after = glue == 1
-
-    def kernel(word: tuple[int, ...]) -> int:
-        n = len(word)
-        tree = [0] * (n + 1)
-        total = 0
-        for j in range(n - 1):
-            x, y = word[j], word[j + 1]
-            if (x < y) == rising:
-                lo, hi = (x, y) if x < y else (y, x)
-                # Letters before j below lo and below hi; the Fenwick
-                # queries are inlined, as this loop is the registry's hot spot.
-                below_lo = below_hi = 0
-                if rank != 3:
-                    i = lo - 1
-                    while i:
-                        below_lo += tree[i]
-                        i &= i - 1
-                if rank != 1:
-                    i = hi - 1
-                    while i:
-                        below_hi += tree[i]
-                        i &= i - 1
-                if rank == 1:
-                    before, of_rank = below_lo, lo - 1
-                elif rank == 2:
-                    before, of_rank = below_hi - below_lo, hi - lo - 1
-                else:
-                    before, of_rank = j - below_hi, n - hi
-                total += of_rank - before if after else before
-            i = x
-            while i <= n:
-                tree[i] += 1
-                i += i & -i
-        return total
-
-    return kernel
-
-
-def _des(word: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
-
-
-def _adjacent_ascents(word: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(word, word[1:]) if a < b)
+    return partial(_count3_one_glue, values=pattern.values, glue=glue)
 
 
 def _dbot(word: tuple[int, ...]) -> int:
@@ -887,55 +855,79 @@ class MahonianFormula(NamedTuple):
         return value
 
 
-def _formula(*terms: str | tuple[str, int, int],
-             const: tuple[int, int, int] = (0, 0, 0)) -> MahonianFormula:
-    """A bare ingredient name in ``terms`` stands for coefficient 1."""
-    return MahonianFormula(
-        tuple((t, 1, 0) if isinstance(t, str) else t for t in terms), const)
-
-
 # Registry order is the order claims report failures in.
 MAHONIAN_TABLE: dict[str, MahonianFormula] = {
-    "maj": _formula("1u32", "2u31", "3u21", "u21"),
-    "inv": _formula("u23_1", "u31_2", "u32_1", "u21"),
-    "mak": _formula("dbot", "2u31"),
-    "makl": _formula("dbot", "u31_2"),
-    "mad": _formula("ddif", "2u31"),
-    "madl": _formula("ddif", "u31_2"),
-    "bast": _formula("u13_2", "u21_3", "u32_1", "u21"),
-    "bast_p": _formula("u13_2", "u31_2", "u32_1", "u21"),
-    "bast_pp": _formula("1u32", "3u12", "3u21", "u21"),
-    "foze": _formula("u21_3", "3u21", "u13_2", "u21"),
-    "foze_p": _formula("1u32", ("2u31", 2, 0), "u21"),
-    "foze_pp": _formula("u23_1", ("u31_2", 2, 0), "u21"),
-    "sist": _formula(("u13_2", 2, 0), "2u13", "u21"),
-    "sist_p": _formula(("u13_2", 2, 0), "2u31", "u21"),
-    "sist_pp": _formula("u13_2", ("2u31", 2, 0), "u21"),
-    "den": _formula("ebot", "ine"),
-    "sor": _formula("sor"),
-    "mak_p": _formula("dbot", "2u31", ("des", 1, -1), "last", const=(0, -1, 1)),
-    "mad_p": _formula("ddif", "2u31", ("last", 2, 0), const=(-1, -1, 0)),
-    "makl_p": _formula("dbot", "u31_2", ("des", 0, -1), const=(0, 0, 1)),
-    "madl_p": _formula("ddif", "u31_2", ("des", -1, 0), "last", const=(-1, 0, 0)),
-    "fz3": _formula("ebot", "edif", ("exc", -1, 0), ("ine", -1, 0)),
-    "fz4": _formula(("edif", 2, 0), ("exc", -1, 0), ("ine", -1, 0)),
-    "inv_p": _formula("inv", ("last", 2, 0), const=(-1, -1, 0)),
-    "den_p": _formula("ebot", "ine", ("exc", 1, -1), "last", const=(0, -1, 1)),
-    "fz3_p": _formula("ebot", "edif", ("exc", -1, -1), ("ine", -1, 0),
-                      const=(0, 0, 1)),
-    "fz4_p": _formula(("edif", 2, 0), ("exc", -2, 0), ("ine", -1, 0), "last",
-                      const=(-1, 0, 0)),
-    "yzl1": _formula("vbot", "vnest"),
-    "yzl2": _formula("vedif", "vnest"),
-    "yzl3": _formula("vbot", "vedif", "exc", ("vnest", -1, 0), const=(1, -1, 0)),
-    "yzl4": _formula(("vedif", 2, 0), "exc", ("vnest", -1, 0), const=(1, -1, 0)),
-    "yzl1_p": _formula("vbot", "vnest", ("exc", -1, 1), "pone",
-                       const=(-1, 0, -1)),
-    "yzl2_p": _formula("vedif", "vnest", ("pone", 2, 0), const=(-1, -1, 0)),
-    "yzl3_p": _formula("vbot", "vedif", ("exc", 1, 1), ("vnest", -1, 0),
-                       const=(1, -1, -1)),
-    "yzl4_p": _formula(("vedif", 2, 0), ("exc", 2, 0), ("vnest", -1, 0), "pone",
-                       const=(1, -2, 0)),
+    "maj": MahonianFormula((
+        ("1u32", 1, 0), ("2u31", 1, 0), ("3u21", 1, 0), ("u21", 1, 0))),
+    "inv": MahonianFormula((
+        ("u23_1", 1, 0), ("u31_2", 1, 0), ("u32_1", 1, 0), ("u21", 1, 0))),
+    "mak": MahonianFormula((("dbot", 1, 0), ("2u31", 1, 0))),
+    "makl": MahonianFormula((("dbot", 1, 0), ("u31_2", 1, 0))),
+    "mad": MahonianFormula((("ddif", 1, 0), ("2u31", 1, 0))),
+    "madl": MahonianFormula((("ddif", 1, 0), ("u31_2", 1, 0))),
+    "bast": MahonianFormula((
+        ("u13_2", 1, 0), ("u21_3", 1, 0), ("u32_1", 1, 0), ("u21", 1, 0))),
+    "bast_p": MahonianFormula((
+        ("u13_2", 1, 0), ("u31_2", 1, 0), ("u32_1", 1, 0), ("u21", 1, 0))),
+    "bast_pp": MahonianFormula((
+        ("1u32", 1, 0), ("3u12", 1, 0), ("3u21", 1, 0), ("u21", 1, 0))),
+    "foze": MahonianFormula((
+        ("u21_3", 1, 0), ("3u21", 1, 0), ("u13_2", 1, 0), ("u21", 1, 0))),
+    "foze_p": MahonianFormula((("1u32", 1, 0), ("2u31", 2, 0), ("u21", 1, 0))),
+    "foze_pp": MahonianFormula((
+        ("u23_1", 1, 0), ("u31_2", 2, 0), ("u21", 1, 0))),
+    "sist": MahonianFormula((("u13_2", 2, 0), ("2u13", 1, 0), ("u21", 1, 0))),
+    "sist_p": MahonianFormula((
+        ("u13_2", 2, 0), ("2u31", 1, 0), ("u21", 1, 0))),
+    "sist_pp": MahonianFormula((
+        ("u13_2", 1, 0), ("2u31", 2, 0), ("u21", 1, 0))),
+    "den": MahonianFormula((("ebot", 1, 0), ("ine", 1, 0))),
+    "sor": MahonianFormula((("sor", 1, 0),)),
+    "mak_p": MahonianFormula((
+        ("dbot", 1, 0), ("2u31", 1, 0), ("des", 1, -1), ("last", 1, 0)),
+        (0, -1, 1)),
+    "mad_p": MahonianFormula((
+        ("ddif", 1, 0), ("2u31", 1, 0), ("last", 2, 0)),
+        (-1, -1, 0)),
+    "makl_p": MahonianFormula((
+        ("dbot", 1, 0), ("u31_2", 1, 0), ("des", 0, -1)),
+        (0, 0, 1)),
+    "madl_p": MahonianFormula((
+        ("ddif", 1, 0), ("u31_2", 1, 0), ("des", -1, 0), ("last", 1, 0)),
+        (-1, 0, 0)),
+    "fz3": MahonianFormula((
+        ("ebot", 1, 0), ("edif", 1, 0), ("exc", -1, 0), ("ine", -1, 0))),
+    "fz4": MahonianFormula((("edif", 2, 0), ("exc", -1, 0), ("ine", -1, 0))),
+    "inv_p": MahonianFormula((("inv", 1, 0), ("last", 2, 0)), (-1, -1, 0)),
+    "den_p": MahonianFormula((
+        ("ebot", 1, 0), ("ine", 1, 0), ("exc", 1, -1), ("last", 1, 0)),
+        (0, -1, 1)),
+    "fz3_p": MahonianFormula((
+        ("ebot", 1, 0), ("edif", 1, 0), ("exc", -1, -1), ("ine", -1, 0)),
+        (0, 0, 1)),
+    "fz4_p": MahonianFormula((
+        ("edif", 2, 0), ("exc", -2, 0), ("ine", -1, 0), ("last", 1, 0)),
+        (-1, 0, 0)),
+    "yzl1": MahonianFormula((("vbot", 1, 0), ("vnest", 1, 0))),
+    "yzl2": MahonianFormula((("vedif", 1, 0), ("vnest", 1, 0))),
+    "yzl3": MahonianFormula((
+        ("vbot", 1, 0), ("vedif", 1, 0), ("exc", 1, 0), ("vnest", -1, 0)),
+        (1, -1, 0)),
+    "yzl4": MahonianFormula((
+        ("vedif", 2, 0), ("exc", 1, 0), ("vnest", -1, 0)),
+        (1, -1, 0)),
+    "yzl1_p": MahonianFormula((
+        ("vbot", 1, 0), ("vnest", 1, 0), ("exc", -1, 1), ("pone", 1, 0)),
+        (-1, 0, -1)),
+    "yzl2_p": MahonianFormula((
+        ("vedif", 1, 0), ("vnest", 1, 0), ("pone", 2, 0)),
+        (-1, -1, 0)),
+    "yzl3_p": MahonianFormula((
+        ("vbot", 1, 0), ("vedif", 1, 0), ("exc", 1, 1), ("vnest", -1, 0)),
+        (1, -1, -1)),
+    "yzl4_p": MahonianFormula((
+        ("vedif", 2, 0), ("exc", 2, 0), ("vnest", -1, 0), ("pone", 1, 0)),
+        (1, -2, 0)),
 }
 
 MAHONIAN_NAMES: tuple[str, ...] = tuple(MAHONIAN_TABLE)

@@ -158,7 +158,8 @@ def test_vincular_anchor():
 
 def test_vincular_against_brute_force():
     literals = ["2u31", "2u13", "u31_2", "1u32", "u32_1", "u13_2",
-                "3u12", "u12_3", "u12", "u21", "u21_3", "3u21", "u23_1"]
+                "3u12", "u12_3", "u12", "u21", "u21_3", "3u21", "u23_1",
+                "12", "21"]
     for pi in iter_perms(5):
         for literal in literals:
             pat = parse_vincular(literal)
