@@ -11,9 +11,8 @@ integer combination of ingredients (vincular pattern counts and family
 cardinalities) plus a closed-form term in n, in the manner of
 Babson and Steingrimsson's pattern-sum statistics.  Each ingredient has its
 own kernel on the one-line word, which builds no family record; the
-inversion-type ones use a Fenwick tree and run in O(n log n).  Ingredients
-are computed on first use and cached per word, so one statistic pays only
-for what its formula names.
+inversion-type ones use a Fenwick tree and run in O(n log n).  All
+ingredients of a word are computed together and cached per word.
 """
 
 from __future__ import annotations
@@ -812,28 +811,16 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
 }
 
 
-class _Ingredients(dict):
-    """Ingredient values of one word, each computed on first lookup."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: tuple[int, ...]):
-        super().__init__()
-        self.word = word
-
-    def __missing__(self, name: str) -> int:
-        value = self[name] = _KERNELS[name](self.word)
-        return value
-
-
 @lru_cache(maxsize=4096)
 def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
-    """The lazily filled ingredient values of a word.
+    """Every ingredient value of a word.
 
-    The cache serves callers that evaluate several statistics of one
-    permutation through separate calls, as joint_distribution does.
+    All kernels run on a miss, so a miss costs the same whichever
+    statistic asked for it.  The cache serves callers that evaluate several
+    statistics of one permutation through separate calls, as
+    joint_distribution does.
     """
-    return _Ingredients(word)
+    return {name: kernel(word) for name, kernel in _KERNELS.items()}
 
 
 class MahonianFormula(NamedTuple):
