@@ -19,7 +19,6 @@ from .histories import (
     WeightOutOfBounds,
     critical_step,
     enumerate_histories,
-    from_word_and_weights,
     history_statistics,
 )
 from .involution import (
@@ -88,7 +87,6 @@ from .genfun import (
     joint_distribution,
     qt_catalan,
     specialize,
-    verify_a_symmetry,
 )
 from .claims import (
     CLAIM_REGISTRY,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from .histories import (
     LaguerreHistory,
+    NDE_STEPS,
+    NE_STEPS,
     StepType,
     critical_step,
     history_statistics,
@@ -65,7 +67,7 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
     for i in range(1, n + 1):
         step = _CLASS_TO_STEP[linear_class(pi.word, pi.position(i), 0, n + 1)]
         c = coordinate_stat(pi, "2-31", pi.position(i))
-        if step.is_sde:
+        if step not in NE_STEPS:
             c += 1
         steps.append(step)
         weights.append(c)
@@ -131,7 +133,7 @@ def phi_fz(pi: Permutation) -> LaguerreHistory:
         else:
             step = StepType.DE
         c = side[p - 1]
-        if step.is_sde:
+        if step not in NE_STEPS:
             c += 1
         steps.append(step)
         weights.append(c)
@@ -174,10 +176,10 @@ def phi_fz_inv(history: LaguerreHistory) -> Permutation:
     """
     n = history.n
     weights = {i: history.weight(i) for i in range(1, n + 1)}
-    nde = [i for i in range(1, n + 1) if history.step(i).is_nde]
-    sde = [i for i in range(1, n + 1) if history.step(i).is_sde]
-    se = [i for i in range(1, n + 1) if history.step(i) in (StepType.S, StepType.E)]
-    ne = [i for i in range(1, n + 1) if history.step(i).is_ne]
+    nde = [i for i in range(1, n + 1) if history.step(i) in NDE_STEPS]
+    sde = [i for i in range(1, n + 1) if history.step(i) not in NE_STEPS]
+    se = [i for i in range(1, n + 1) if history.step(i) not in NDE_STEPS]
+    ne = [i for i in range(1, n + 1) if history.step(i) in NE_STEPS]
     if len(nde) != len(sde) or len(se) != len(ne):
         raise PlacementImpossible("column counts disagree")
     exc_bottom = _place_left(sde, weights, len(nde))
@@ -225,7 +227,8 @@ def phi_yzl(pi: Permutation) -> LaguerreHistory:
                 step = StepType.DE
         steps.append(step)
     weights = [
-        vnest[i - 1] + (1 if steps[i - 1].is_sde else 0) for i in range(1, n + 1)
+        vnest[i - 1] + (1 if steps[i - 1] not in NE_STEPS else 0)
+        for i in range(1, n + 1)
     ]
     return LaguerreHistory(steps, weights)
 
@@ -275,7 +278,7 @@ def phi_yzl_inv(history: LaguerreHistory) -> Permutation:
     for i in range(1, n + 1):
         nest[i] = (
             history.weight(i)
-            - (1 if history.step(i).is_sde else 0)
+            - (1 if history.step(i) not in NE_STEPS else 0)
             + (1 if i in stats.Sdeb else 0)
             - (1 if i in stats.Nea else 0)
         )
@@ -332,7 +335,6 @@ def kreweras(pi: Permutation) -> Permutation:
 
 _CONJUGATED = {
     "phi": (phi_fv, phi_fv_inv),
-    "phi_inv": (phi_fv, phi_fv_inv),
     "eta": (phi_fz, phi_fz_inv),
     "rho": (phi_yzl, phi_yzl_inv),
 }
@@ -341,7 +343,7 @@ _CONJUGATED = {
 def conjugated_map(pi: Permutation, which: str) -> Permutation:
     """Conjugate the path involution through one of the three encodings.
 
-    ``phi`` (alias ``phi_inv``) goes through the linear encoding, ``eta``
+    ``phi`` goes through the linear encoding, ``eta``
     through the cyclic one, ``rho`` through the shifted-cyclic one.  The
     composition is computed literally, never via a shortcut formula.
     """

@@ -2,8 +2,7 @@
 
 Every claim is an exhaustive check over all weighted paths or all
 permutations of a given size; the runner reports per-size pass/fail with a
-counterexample on failure.  Item sweeps can be partitioned across threads;
-the reported result is independent of the partitioning.
+counterexample on failure: the first failing item in canonical order.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -95,7 +93,7 @@ class ClaimOutcome:
 class ClaimSpec:
     claim_id: str
     description: str
-    items: Callable[[int], Iterable]
+    items: str  # "histories", "perms" or "whole": a key of _ITEMS
     test: Callable[[int, object], "str | None"]
 
 
@@ -105,6 +103,16 @@ def _full_range(n: int) -> IntMultiset:
 
 def _kap(n: int, m: IntMultiset) -> IntMultiset:
     return kappa(n + 1, m)
+
+
+def _first_mismatch(item, checks: Sequence[tuple]) -> str | None:
+    """Describe the first (label, lhs, rhs) check whose two sides differ;
+    multisets are shown by ``to_text()``, integers by ``str()``."""
+    for label, lhs, rhs in checks:
+        if lhs != rhs:
+            show = str if isinstance(lhs, int) else IntMultiset.to_text
+            return f"{item.to_text()}: {label}: {show(lhs)} != {show(rhs)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +154,7 @@ def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
         ("Nde", _full_range(n) - g.Nde, kappa(n, h.Nde)),
         ("Asc", _full_range(n) - g.Asc, kappa(n, h.Asc)),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{w_hist.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(w_hist, checks)
 
 
 def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
@@ -193,10 +198,7 @@ def _test_linear_correspondence(n: int, pi: Permutation) -> str | None:
         ("2-31", m31, (g.Wt - g.Sdeb) - g.Sdea),
         ("31-2", m312, g.Ht - g.Wt),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_linear_conjugate(n: int, pi: Permutation) -> str | None:
@@ -214,10 +216,7 @@ def _test_linear_conjugate(n: int, pi: Permutation) -> str | None:
         ("Db", _full_range(n) - lp.Db, kappa(n, ls.Db)),
         ("Ides", _full_range(n) - lp.Ides, kappa(n, ls.Ides)),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_cyclic_correspondence(n: int, pi: Permutation) -> str | None:
@@ -239,10 +238,7 @@ def _test_cyclic_correspondence(n: int, pi: Permutation) -> str | None:
         ("Ine", cyc.Ine, (g.Wt - g.Sdeb) - g.Sdea),
         ("Edif-Exc-Ine", (cyc.Edif - cyc.Exc) - cyc.Ine, g.Ht - g.Wt),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_csz_transport(n: int, pi: Permutation) -> str | None:
@@ -264,10 +260,7 @@ def _test_csz_transport(n: int, pi: Permutation) -> str | None:
         ("Dbot/Ebot", lin.Dbot, cyc.Ebot),
         ("Ddif/Edif", lin.Ddif, cyc.Edif),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_cyclic_conjugate(n: int, pi: Permutation) -> str | None:
@@ -286,10 +279,7 @@ def _test_cyclic_conjugate(n: int, pi: Permutation) -> str | None:
          _kap(n, (cs.Edif - cs.Exc) - cs.Ine)),
         ("Ep", _full_range(n) - cp.Ep, kappa(n, cs.Ep)),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_shifted_correspondence(n: int, pi: Permutation) -> str | None:
@@ -310,10 +300,7 @@ def _test_shifted_correspondence(n: int, pi: Permutation) -> str | None:
         ("Vedif-rest", ((sh.Vedif - sh.Vnepb) - sh.Vnepa) - sh.Vnest,
          g.Ht - g.Wt),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_critical_is_pone(n: int, pi: Permutation) -> str | None:
@@ -340,10 +327,7 @@ def _test_shifted_conjugate(n: int, pi: Permutation) -> str | None:
         ("Vedif-rest", rest(sp), _kap(n, rest(ss))),
         ("Vnex", _full_range(n) - sp.Vnex, kappa(n, ss.Vnex)),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs.to_text()} != {rhs.to_text()}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +437,7 @@ def _test_complement_transport(n: int, pi: Permutation) -> str | None:
         ("madl_p/sist_p", mahonian(pi, "madl_p"), mahonian(comp, "sist_p")),
         ("makl_p/makl", mahonian(pi, "makl_p"), mahonian(comp, "makl")),
     ]
-    for label, lhs, rhs in checks:
-        if lhs != rhs:
-            return f"{pi.to_text()}: {label}: {lhs} != {rhs}"
-    return None
+    return _first_mismatch(pi, checks)
 
 
 def _test_pattern_sum_identity_a(n: int, pi: Permutation) -> str | None:
@@ -533,131 +514,132 @@ def _moment_claim(alpha: int) -> Callable[[int, object], "str | None"]:
 # Registry and runner
 # ---------------------------------------------------------------------------
 
-def _histories(n: int) -> Iterable[LaguerreHistory]:
-    return enumerate_histories(n)
-
-
-def _perms(n: int) -> Iterable[Permutation]:
-    return iter_perms(n)
-
-
 def _whole(n: int) -> Iterable:
     return (n,)
+
+
+# Item sources, looked up by run_claim on every call, so a rebinding of an
+# entry (as perfbench's tracer makes) reaches every sweep.
+_ITEMS: dict[str, Callable[[int], Iterable]] = {
+    "histories": enumerate_histories,
+    "perms": iter_perms,
+    "whole": _whole,
+}
 
 
 CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
     ClaimSpec("thm3.2-involution",
               "the path map is an involution obeying its defining conditions"
               " and local case table",
-              _histories, _test_involution),
+              "histories", _test_involution),
     ClaimSpec("cor3.3",
               "five-statistic numeric symmetry under the path involution",
-              _histories, _test_five_stat_symmetry),
+              "histories", _test_five_stat_symmetry),
     ClaimSpec("cor3.6",
               "multiset-valued symmetry under the path involution",
-              _histories, _test_multiset_symmetry),
+              "histories", _test_multiset_symmetry),
     ClaimSpec("cor1.1",
               "monomial exponent symmetry of the nine-variable polynomial",
-              _histories, _test_exponent_symmetry),
+              "histories", _test_exponent_symmetry),
     ClaimSpec("prop4.3",
               "linear statistics transported by the value-class encoding",
-              _perms, _test_linear_correspondence),
+              "perms", _test_linear_correspondence),
     ClaimSpec("cor4.4",
               "linear statistics reflected by the conjugated involution",
-              _perms, _test_linear_conjugate),
+              "perms", _test_linear_conjugate),
     ClaimSpec("eq14",
               "joint symmetry of (31-2, 2-13, 2-31, des, ides)",
-              _whole, _counter_claim(
+              "whole", _counter_claim(
                   lambda n, b: b,
                   lambda n, b: (b[0], b[2], b[1], n - 1 - b[3], n - 1 - b[4]))),
     ClaimSpec("eq17",
               "(des, 2-31, 31-2) ~ (n-1-des, 2-13, 31-2)",
-              _whole, _counter_claim(
+              "whole", _counter_claim(
                   lambda n, b: (b[3], b[2], b[0]),
                   lambda n, b: (n - 1 - b[3], b[1], b[0]))),
     ClaimSpec("eq18",
               "(des, 2-13, 31-2) ~ (n-1-des, 2-13, 31-2)",
-              _whole, _counter_claim(
+              "whole", _counter_claim(
                   lambda n, b: (b[3], b[1], b[0]),
                   lambda n, b: (n - 1 - b[3], b[1], b[0]))),
     ClaimSpec("eq19",
               "(des, 2-13, 31-2) ~ (des, 2-31, 31-2)",
-              _whole, _counter_claim(
+              "whole", _counter_claim(
                   lambda n, b: (b[3], b[1], b[0]),
                   lambda n, b: (b[3], b[2], b[0]))),
     ClaimSpec("eq19-restricted",
               "(des, 2-13) ~ (des, 2-31) over 312-avoiders",
-              _whole, _counter_claim(
+              "whole", _counter_claim(
                   lambda n, b: (b[3], b[1]),
                   lambda n, b: (b[3], b[2]),
                   restricted=True)),
     ClaimSpec("thm4.6",
               "valley hopping complements descents and shifts the boundary"
               " 2-31 multiset by the starred double classes",
-              _perms, _test_valley_hopping),
+              "perms", _test_valley_hopping),
     ClaimSpec("fact4.8",
               "coordinate counts equal consecutive extrema-pair counts",
-              _perms, _test_extrema_counting),
+              "perms", _test_extrema_counting),
     ClaimSpec("prop4.10",
               "cyclic statistics transported by the excedance-class encoding",
-              _perms, _test_cyclic_correspondence),
+              "perms", _test_cyclic_correspondence),
     ClaimSpec("csz-corollary",
               "linear-to-cyclic statistic transport along the composed"
               " encoding",
-              _perms, _test_csz_transport),
+              "perms", _test_csz_transport),
     ClaimSpec("eta-corollary",
               "cyclic statistics reflected by the conjugated involution",
-              _perms, _test_cyclic_conjugate),
+              "perms", _test_cyclic_conjugate),
     ClaimSpec("prop4.17",
               "shifted statistics transported by the nesting encoding",
-              _perms, _test_shifted_correspondence),
+              "perms", _test_shifted_correspondence),
     ClaimSpec("lem4.14",
               "the critical step equals the position of the letter 1",
-              _perms, _test_critical_is_pone),
+              "perms", _test_critical_is_pone),
     ClaimSpec("rho-corollary",
               "shifted statistics reflected by the conjugated involution",
-              _perms, _test_shifted_conjugate),
+              "perms", _test_shifted_conjugate),
     ClaimSpec("tab2-mahonian",
               "the eighteen closed-form statistics are Mahonian",
-              _whole, _mahonian_claim((
+              "whole", _mahonian_claim((
                   "mak_p", "mad_p", "makl_p", "madl_p", "fz3", "fz4",
                   "inv_p", "den_p", "fz3_p", "fz4_p",
                   "yzl1", "yzl2", "yzl3", "yzl4",
                   "yzl1_p", "yzl2_p", "yzl3_p", "yzl4_p"))),
     ClaimSpec("tab3-mahonian",
               "the seventeen pattern-sum statistics are Mahonian",
-              _whole, _mahonian_claim((
+              "whole", _mahonian_claim((
                   "maj", "inv", "mak", "makl", "mad", "madl",
                   "bast", "bast_p", "bast_pp",
                   "foze", "foze_p", "foze_pp",
                   "sist", "sist_p", "sist_pp", "den", "sor"))),
     ClaimSpec("thm4.20",
               "primed statistics transported by complementation",
-              _perms, _test_complement_transport),
+              "perms", _test_complement_transport),
     ClaimSpec("lem4.21",
               "2-13 plus adjacent ascents equals 2-31 plus last letter"
               " minus one",
-              _perms, _test_pattern_sum_identity_a),
+              "perms", _test_pattern_sum_identity_a),
     ClaimSpec("lem4.22",
               "signed vincular pattern sum identity with descents",
-              _perms, _test_pattern_sum_identity_b),
+              "perms", _test_pattern_sum_identity_b),
     ClaimSpec("eq34",
               "the eight shifted statistics match the cyclic ones after"
               " reverse-complement-inverse",
-              _perms, _test_shifted_mahonian_transport),
+              "perms", _test_shifted_mahonian_transport),
     ClaimSpec("thm4.23-eq35",
               "the cyclic conjugated involution equals the mirror map",
-              _perms, _test_eta_is_theta),
+              "perms", _test_eta_is_theta),
     ClaimSpec("thm4.23-eq36",
               "the shifted encoding factors through the Kreweras complement",
-              _perms, _test_yzl_factorization),
+              "perms", _test_yzl_factorization),
     ClaimSpec("moments-alpha0",
               "continued-fraction moments with weights (2k+1, k^2) are n!",
-              _whole, _moment_claim(0)),
+              "whole", _moment_claim(0)),
     ClaimSpec("moments-alpha1",
               "continued-fraction moments with weights (2k+2, k(k+1)) are"
               " (n+1)!",
-              _whole, _moment_claim(1)),
+              "whole", _moment_claim(1)),
 )
 
 _BY_ID = {spec.claim_id: spec for spec in CLAIM_REGISTRY}
@@ -674,52 +656,22 @@ def get_claim(claim_id: str) -> ClaimSpec:
         raise UnknownClaim(claim_id) from None
 
 
-def _scan(
-    spec: ClaimSpec, n: int, items: Sequence
-) -> tuple[int, "str | None"]:
-    """First failure index (or len(items)) and its description."""
-    for k, item in enumerate(items):
-        problem = spec.test(n, item)
-        if problem is not None:
-            return k, problem
-    return len(items), None
-
-
 def run_claim(claim_id: str, n: int, threads: int = 1) -> ClaimOutcome:
-    """Run one claim exhaustively at size n.
+    """Run one claim exhaustively at size n, stopping at the first
+    counterexample in canonical order.
 
-    The reported outcome is independent of the thread count: the
-    counterexample, if any, is always the first one in canonical order.
+    ``threads`` is accepted for compatibility and ignored: every sweep
+    runs serially in the calling thread.
     """
     spec = get_claim(claim_id)
     start = time.monotonic()
-    if threads <= 1:
-        checked = 0
-        counterexample = None
-        for item in spec.items(n):
-            problem = spec.test(n, item)
-            if problem is not None:
-                counterexample = problem
-                break
-            checked += 1
-    else:
-        items = list(spec.items(n))
-        chunk = max(1, -(-len(items) // threads))
-        slices = [items[k:k + chunk] for k in range(0, len(items), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda part: _scan(spec, n, part), slices)
-            )
-        checked = 0
-        counterexample = None
-        for offset, (local, problem) in zip(
-            range(0, len(items), chunk), results
-        ):
-            if problem is not None:
-                checked = offset + local
-                counterexample = problem
-                break
-            checked = offset + local
+    checked = 0
+    counterexample = None
+    for item in _ITEMS[spec.items](n):
+        counterexample = spec.test(n, item)
+        if counterexample is not None:
+            break
+        checked += 1
     millis = int((time.monotonic() - start) * 1000)
     status = "pass" if counterexample is None else "fail"
     return ClaimOutcome(claim_id, n, status, checked, counterexample, millis)

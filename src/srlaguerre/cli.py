@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True,
                    help="a claim id or 'all'")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; sweeps run serially")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -14,11 +14,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .histories import (
     LaguerreHistory,
-    critical_step,
     enumerate_histories,
     history_statistics,
 )
-from .involution import xi
 from .perm_stats import avoiders, iter_perms, statistic
 
 
@@ -144,35 +142,6 @@ def a_polynomial(n: int) -> MultiPoly:
     for history in enumerate_histories(n):
         poly.add_term(_a_exponents(history))
     return poly
-
-
-def verify_a_symmetry(
-    n: int,
-    xi_fn: Callable[[LaguerreHistory], LaguerreHistory] = xi,
-) -> bool:
-    """Check the monomial symmetry induced by the path involution.
-
-    For every W with image V, the statistics must satisfy
-    neb(W) = sdea(V), sdeb(W) = nea(V), nea(W) = sdeb(V), sdea(W) = neb(V),
-    nde(W) = n-1-nde(V), asc(W) = n-1-asc(V), cs(W) = n+1-cs(V), and
-    ht(W) - ht(V) = wt(W) - wt(V) = neb(V) - sdea(V).
-    """
-    for history in enumerate_histories(n):
-        g = history_statistics(history)
-        h = history_statistics(xi_fn(history))
-        if (
-            g.neb != h.sdea
-            or g.sdeb != h.nea
-            or g.nea != h.sdeb
-            or g.sdea != h.neb
-            or g.nde != n - 1 - h.nde
-            or g.asc != n - 1 - h.asc
-            or g.cs != n + 1 - h.cs
-            or g.ht != h.ht + h.neb - h.sdea
-            or g.wt != h.wt + h.neb - h.sdea
-        ):
-            return False
-    return True
 
 
 def specialize(

@@ -31,18 +31,6 @@ class StepType(IntEnum):
     S = 3
 
     @property
-    def is_ne(self) -> bool:
-        return self in (StepType.N, StepType.E)
-
-    @property
-    def is_sde(self) -> bool:
-        return self in (StepType.S, StepType.DE)
-
-    @property
-    def is_nde(self) -> bool:
-        return self in (StepType.N, StepType.DE)
-
-    @property
     def rise(self) -> int:
         if self is StepType.N:
             return 1
@@ -59,9 +47,7 @@ _LETTER = {StepType.N: "N", StepType.E: "E", StepType.DE: "D", StepType.S: "S"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
 
 NE_STEPS = frozenset((StepType.N, StepType.E))
-SDE_STEPS = frozenset((StepType.S, StepType.DE))
 NDE_STEPS = frozenset((StepType.N, StepType.DE))
-SE_STEPS = frozenset((StepType.S, StepType.E))
 
 
 class PathBelowAxis(ValueError):
@@ -150,7 +136,7 @@ class LaguerreHistory:
     def from_text(cls, text: str) -> "LaguerreHistory":
         text = text.strip()
         if text == "/":
-            return from_word_and_weights((), ())
+            return cls((), ())
         if "/" not in text:
             raise ValueError(f"malformed history literal (missing '/'): {text!r}")
         word_part, _, weight_part = text.partition("/")
@@ -159,7 +145,7 @@ class LaguerreHistory:
         except KeyError as exc:
             raise ValueError(f"unknown step letter {exc.args[0]!r}") from None
         c = tuple(int(x) for x in weight_part.split(",")) if weight_part else ()
-        return from_word_and_weights(w, c)
+        return cls(w, c)
 
     def to_json(self) -> dict:
         return {
@@ -171,7 +157,7 @@ class LaguerreHistory:
     @classmethod
     def from_json(cls, data: dict) -> "LaguerreHistory":
         w = tuple(_BY_LETTER[ch] for ch in data["w"])
-        return from_word_and_weights(w, tuple(int(x) for x in data["c"]))
+        return cls(w, tuple(int(x) for x in data["c"]))
 
 
 def _heights(w: tuple[StepType, ...]) -> tuple[int, ...]:
@@ -186,11 +172,6 @@ def _heights(w: tuple[StepType, ...]) -> tuple[int, ...]:
     if height != 0:
         raise PathNotClosed(height)
     return tuple(heights)
-
-
-def from_word_and_weights(w: Iterable[StepType], c: Iterable[int]) -> LaguerreHistory:
-    """Validate and build a history from its step word and weights."""
-    return LaguerreHistory(w, c)
 
 
 def critical_step(history: LaguerreHistory) -> int:

@@ -26,7 +26,7 @@ occur once n reaches 5.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .histories import (
     LaguerreHistory,
@@ -34,7 +34,6 @@ from .histories import (
     StepType,
     critical_step,
     enumerate_histories,
-    from_word_and_weights,
 )
 
 
@@ -80,7 +79,7 @@ def xi(history: LaguerreHistory) -> LaguerreHistory:
                 f"height difference {d} incompatible with step class at j={j}"
             )
 
-    image = from_word_and_weights(v, b[1:])
+    image = LaguerreHistory(v, b[1:])
     if image.h != tuple(g[1 : n + 1]):
         raise InternalInconsistency("reconstructed heights disagree with g")
     if critical_step(image) != crit:

@@ -408,9 +408,12 @@ def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
 
 def variant_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
     """vnest_i: nest_i adjusted by the position of the letter 1."""
-    word = pi.word
-    pone = pi.position(1)
-    nest = nesting_numbers(pi)
+    return _variant_nesting(pi.word, nesting_numbers(pi), pi.position(1))
+
+
+def _variant_nesting(
+    word: tuple[int, ...], nest: tuple[int, ...], pone: int
+) -> tuple[int, ...]:
     vnest = []
     for i in range(1, len(word) + 1):
         v = word[i - 1]
@@ -428,7 +431,7 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     n = len(word)
     pone = pi.position(1)
     nest = nesting_numbers(pi)
-    vnest = variant_nesting_numbers(pi)
+    vnest = _variant_nesting(word, nest, pone)
     exc_values = {word[i - 1] for i in range(1, n + 1) if word[i - 1] > i}
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
     nep = [i for i in range(1, n + 1) if word[i - 1] <= i]

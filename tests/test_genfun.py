@@ -5,6 +5,8 @@ from math import factorial
 
 import pytest
 
+from srlaguerre import claims
+from srlaguerre.claims import run_claim
 from srlaguerre.genfun import (
     A_VARIABLES,
     MultiPoly,
@@ -15,7 +17,6 @@ from srlaguerre.genfun import (
     joint_distribution,
     qt_catalan,
     specialize,
-    verify_a_symmetry,
 )
 from srlaguerre.perm_stats import UnknownStatistic
 
@@ -33,11 +34,12 @@ def test_a_polynomial_counts_histories():
 
 def test_a_polynomial_symmetry():
     for n in range(1, 7):
-        assert verify_a_symmetry(n)
+        assert run_claim("cor1.1", n).status == "pass"
 
 
-def test_symmetry_check_detects_broken_involution():
-    assert verify_a_symmetry(3, xi_fn=lambda history: history) is False
+def test_symmetry_check_detects_broken_involution(monkeypatch):
+    monkeypatch.setattr(claims, "xi", lambda history: history)
+    assert run_claim("cor1.1", 3).status == "fail"
 
 
 def test_eulerian_specialization():

@@ -7,13 +7,13 @@ import pytest
 
 from srlaguerre.histories import (
     LaguerreHistory,
+    NE_STEPS,
     PathBelowAxis,
     PathNotClosed,
     StepType,
     WeightOutOfBounds,
     critical_step,
     enumerate_histories,
-    from_word_and_weights,
     history_statistics,
 )
 from srlaguerre.multiset import IntMultiset
@@ -58,28 +58,28 @@ def test_anchor_history_valid():
 
 
 def test_heights_computed():
-    w = from_word_and_weights((N, E, DE, S), (0, 1, 1, 1))
+    w = LaguerreHistory((N, E, DE, S), (0, 1, 1, 1))
     assert w.h == (0, 1, 1, 1)
 
 
 def test_path_below_axis_rejected():
     with pytest.raises(PathBelowAxis):
-        from_word_and_weights((S, N), (1, 0))
+        LaguerreHistory((S, N), (1, 0))
 
 
 def test_path_not_closed_rejected():
     with pytest.raises(PathNotClosed):
-        from_word_and_weights((N, E), (0, 0))
+        LaguerreHistory((N, E), (0, 0))
 
 
 def test_weight_bounds():
     # NE steps allow 0..h, SdE steps require 1..h.
     with pytest.raises(WeightOutOfBounds):
-        from_word_and_weights((N, S), (1, 1))
+        LaguerreHistory((N, S), (1, 1))
     with pytest.raises(WeightOutOfBounds):
-        from_word_and_weights((N, S), (0, 0))
+        LaguerreHistory((N, S), (0, 0))
     with pytest.raises(WeightOutOfBounds):
-        from_word_and_weights((E,), (1,))
+        LaguerreHistory((E,), (1,))
 
 
 def test_text_round_trip():
@@ -109,7 +109,7 @@ def test_critical_step_is_ne_class():
         for w in enumerate_histories(n):
             cs = critical_step(w)
             assert w.weight(cs) == 0
-            assert w.step(cs).is_ne
+            assert w.step(cs) in NE_STEPS
             assert all(w.weight(i) > 0 for i in range(cs + 1, n + 1))
 
 

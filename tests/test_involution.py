@@ -6,6 +6,7 @@ import pytest
 
 from srlaguerre.histories import (
     LaguerreHistory,
+    NE_STEPS,
     critical_step,
     enumerate_histories,
     history_statistics,
@@ -55,9 +56,10 @@ def test_step_classes_reflected():
             crit = critical_step(v)
             for j in range(1, n + 1):
                 if j == crit:
-                    assert v.step(j).is_ne
+                    assert v.step(j) in NE_STEPS
                 else:
-                    assert v.step(j).is_ne != w.step(n + 1 - j).is_ne
+                    assert ((v.step(j) in NE_STEPS)
+                            != (w.step(n + 1 - j) in NE_STEPS))
 
 
 def test_weight_offsets():

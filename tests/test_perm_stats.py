@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srlaguerre import perm_stats
 from srlaguerre.multiset import IntMultiset
 from srlaguerre.perm_stats import (
     MAHONIAN_NAMES,
@@ -129,6 +130,21 @@ def test_shifted_family_worked_example():
     assert sh.Vbot == IntMultiset.from_pairs(
         [(1, 1), (2, 2), (3, 3), (4, 4), (7, 7)])
     assert sh.Vnest == IntMultiset([4, 5, 6, 6, 7, 8])
+
+
+def test_shifted_family_computes_nesting_numbers_once(monkeypatch):
+    calls = []
+    original = perm_stats.nesting_numbers
+
+    def counting(pi):
+        calls.append(pi)
+        return original(pi)
+
+    monkeypatch.setattr(perm_stats, "nesting_numbers", counting)
+    pi = Permutation.from_text("671395482")
+    sh = shifted_family(pi)
+    assert len(calls) == 1
+    assert sh.vnest == perm_stats.variant_nesting_numbers(pi)
 
 
 def brute_vincular(word, values, glued):
