@@ -41,6 +41,7 @@ from .perm_stats import (
     VincularPattern,
     avoiders,
     classical_avoids,
+    coordinate_counts,
     coordinate_stat,
     cyclic_family,
     iter_perms,
@@ -56,6 +57,7 @@ from .perm_stats import (
 )
 from .mfs_action import (
     StarredClasses,
+    coordinate_counts_zero_boundary,
     coordinate_stat_zero_boundary,
     mfs_full,
     mfs_phi_x,

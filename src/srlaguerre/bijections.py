@@ -22,7 +22,7 @@ from .histories import (
 from .involution import xi
 from .perm_stats import (
     Permutation,
-    coordinate_stat,
+    coordinate_counts,
     linear_class,
     side_numbers,
     variant_nesting_numbers,
@@ -59,14 +59,17 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
     Value i becomes N / S / E / dE according to whether it is a valley,
     peak, double ascent, or double descent of the word, with boundary
     values smaller than all (left) and larger than all (right).  The weight
-    of i is its 2-31 coordinate count, plus one on S and dE steps.
+    of i is its 2-31 coordinate count, plus one on S and dE steps.  One
+    O(n log n) sweep gives every count.
     """
     n = pi.n
+    counts = coordinate_counts(pi, "2-31")
     steps = []
     weights = []
     for i in range(1, n + 1):
-        step = _CLASS_TO_STEP[linear_class(pi.word, pi.position(i), 0, n + 1)]
-        c = coordinate_stat(pi, "2-31", pi.position(i))
+        p = pi.position(i)
+        step = _CLASS_TO_STEP[linear_class(pi.word, p, 0, n + 1)]
+        c = counts[p - 1]
         if step not in NE_STEPS:
             c += 1
         steps.append(step)
@@ -140,30 +143,54 @@ def phi_fz(pi: Permutation) -> LaguerreHistory:
     return LaguerreHistory(steps, weights)
 
 
+def _place(values: list[int], weights: dict[int, int], size: int,
+           from_right: bool) -> list[int]:
+    """Place values into a row of ``size`` empty slots and read the filled
+    row left to right; see ``_place_left`` and ``_place_right``.
+
+    A Fenwick tree over the slots, 1 for empty, finds the k-th empty slot
+    from the left by binary descent, so n placements cost O(n log n).
+    """
+    tree = [i & -i for i in range(size + 1)]
+    top = 1 << size.bit_length() >> 1
+    row: list[int | None] = [None] * size
+    for placed, x in enumerate(sorted(values, reverse=from_right)):
+        empties = size - placed
+        if from_right:
+            k = weights[x]
+            if not 0 <= k < empties:
+                raise PlacementImpossible(f"value {x} wants {k} empty slots right")
+            k = empties - 1 - k
+        else:
+            k = weights[x] - 1
+            if not 0 <= k < empties:
+                raise PlacementImpossible(f"value {x} wants empty slot {k + 1}")
+        pos = 0
+        step = top
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        row[pos] = x
+        pos += 1
+        while pos <= size:
+            tree[pos] -= 1
+            pos += pos & -pos
+    return [v for v in row if v is not None]
+
+
 def _place_left(values: list[int], weights: dict[int, int], size: int) -> list[int]:
     """Place values smallest-first; value x lands in the c_x-th empty slot
-    counted from the left (1-based)."""
-    row: list[int | None] = [None] * size
-    for x in sorted(values):
-        empties = [p for p, v in enumerate(row) if v is None]
-        k = weights[x] - 1
-        if not 0 <= k < len(empties):
-            raise PlacementImpossible(f"value {x} wants empty slot {k + 1}")
-        row[empties[k]] = x
-    return [v for v in row if v is not None]
+    counted from the left (1-based).  O(n log n)."""
+    return _place(values, weights, size, False)
 
 
 def _place_right(values: list[int], weights: dict[int, int], size: int) -> list[int]:
     """Place values largest-first; value x keeps c_x empty slots to its
-    right."""
-    row: list[int | None] = [None] * size
-    for x in sorted(values, reverse=True):
-        empties = [p for p, v in enumerate(row) if v is None]
-        k = weights[x]
-        if not 0 <= k < len(empties):
-            raise PlacementImpossible(f"value {x} wants {k} empty slots right")
-        row[empties[len(empties) - 1 - k]] = x
-    return [v for v in row if v is not None]
+    right.  O(n log n)."""
+    return _place(values, weights, size, True)
 
 
 def phi_fz_inv(history: LaguerreHistory) -> Permutation:

@@ -9,6 +9,7 @@ claim name.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -189,15 +190,33 @@ def _record_json(record) -> dict:
     return data
 
 
+def _record_csv_rows(family: str, record):
+    """One (family, field, value) row per field: multisets in their text
+    form, tuples comma-joined."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, IntMultiset):
+            value = value.to_text()
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        yield family, field.name, value
+
+
 def cmd_stat(args: argparse.Namespace) -> int:
     pi = _parse_perm(args.perm)
     if args.stat == "all":
-        report = {
-            "linear": _record_json(linear_family(pi)),
-            "cyclic": _record_json(cyclic_family(pi)),
-            "shifted": _record_json(shifted_family(pi)),
+        records = {
+            "linear": linear_family(pi),
+            "cyclic": cyclic_family(pi),
+            "shifted": shifted_family(pi),
         }
-        print(json.dumps(report))
+        if args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            for family, record in records.items():
+                writer.writerows(_record_csv_rows(family, record))
+        else:
+            print(json.dumps({family: _record_json(record)
+                              for family, record in records.items()}))
         return EXIT_OK
     try:
         fn = statistic(args.stat)

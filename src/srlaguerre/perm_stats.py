@@ -13,13 +13,22 @@ Babson and Steingrimsson's pattern-sum statistics.  Each ingredient has its
 own kernel on the one-line word, which builds no family record; the
 inversion-type ones use a Fenwick tree and run in O(n log n).  All
 ingredients of a word are computed together and cached per word.
+
+Costs for a permutation of size n: the coordinate counts
+(``coordinate_counts``), the side numbers and the nesting numbers are one
+Fenwick sweep each, O(n log n); the linear family is O(n) and the cyclic
+and shifted families O(n log n).  No family multiset is expanded: each is
+built from at most n (value, multiplicity) pairs, and the range unions
+(Ddif, Edif, Vedif) are counted by a difference array.  The generic
+vincular counter, kept for patterns of other shapes and for classical
+avoidance, is O(n^k) for a pattern of length k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations as _permutations
+from itertools import accumulate, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .multiset import IntMultiset
@@ -170,6 +179,29 @@ def trivial_bijection(pi: Permutation, which: str) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
+# Counting helpers shared by the families
+# ---------------------------------------------------------------------------
+
+def _range_union(ranges: Iterable[tuple[int, int]], size: int) -> IntMultiset:
+    """The multiset union of the integer ranges [lo, hi), lo <= hi, inside
+    1..size.
+
+    Counted by a difference array in O(size + number of ranges), so the
+    union is never expanded into a list of its entries.
+    """
+    diff = [0] * (size + 2)
+    for lo, hi in ranges:
+        diff[lo] += 1
+        diff[hi] -= 1
+    return _with_counts(range(1, size + 1), accumulate(diff[1:size + 1]))
+
+
+def _with_counts(values: Iterable[int], counts: Iterable[int]) -> IntMultiset:
+    """Each value taken as many times as its count; zero counts drop out."""
+    return IntMultiset.from_pairs((v, m) for v, m in zip(values, counts) if m > 0)
+
+
+# ---------------------------------------------------------------------------
 # Linear statistics
 # ---------------------------------------------------------------------------
 
@@ -209,19 +241,16 @@ class LinearStatRecord:
 
 
 def linear_family(pi: Permutation) -> LinearStatRecord:
+    """The linear family in O(n): no multiset holds more than n entries."""
     word = pi.word
     n = len(word)
     last = word[-1] if n else 0
     des_pos: list[int] = []
     asc_bottoms: list[int] = []
-    ddif: list[int] = []
-    dbot: list[int] = []
     for i in range(1, n):
         a, b = word[i - 1], word[i]
         if a > b:
             des_pos.append(i)
-            ddif.extend(range(b + 1, a + 1))
-            dbot.extend([b] * b)
         else:
             asc_bottoms.append(a)
     dt = [word[i - 1] for i in des_pos]
@@ -239,8 +268,8 @@ def linear_family(pi: Permutation) -> LinearStatRecord:
         Dba=IntMultiset(v for v in db if v > last),
         Abb=IntMultiset(v for v in asc_bottoms if v < last),
         Aba=IntMultiset(v for v in asc_bottoms if v > last),
-        Ddif=IntMultiset(ddif),
-        Dbot=IntMultiset(dbot),
+        Ddif=_range_union(((b + 1, a + 1) for a, b in zip(dt, db)), n),
+        Dbot=IntMultiset.from_pairs((b, b) for b in db),
     )
 
 
@@ -292,44 +321,59 @@ class CyclicStatRecord:
 
 
 def side_numbers(pi: Permutation) -> tuple[int, ...]:
-    """Side number of each position.
+    """Side number of each position, in O(n log n).
 
     An excedance value gets the number of larger letters to its left inside
     the excedance subword; a non-excedance value gets the number of smaller
-    letters to its right inside the non-excedance subword.
+    letters to its right inside the non-excedance subword.  Each subword is
+    swept once with a Fenwick tree over the letters seen so far, as in
+    ``_inversions``: the excedances left to right, the non-excedances right
+    to left.
     """
     word = pi.word
     n = len(word)
-    exc_sub = [word[i] for i in range(n) if word[i] > i + 1]
-    nexc_sub = [word[i] for i in range(n) if word[i] <= i + 1]
-    side = []
-    for i in range(n):
-        v = word[i]
-        if v > i + 1:
-            k = exc_sub.index(v)
-            side.append(sum(1 for u in exc_sub[:k] if u > v))
-        else:
-            k = nexc_sub.index(v)
-            side.append(sum(1 for u in nexc_sub[k + 1:] if u < v))
+    side = [0] * n
+    tree = [0] * (n + 1)
+    seen = 0
+    for p, v in enumerate(word):
+        if v > p + 1:
+            below = 0
+            k = v
+            while k:
+                below += tree[k]
+                k &= k - 1
+            side[p] = seen - below
+            seen += 1
+            k = v
+            while k <= n:
+                tree[k] += 1
+                k += k & -k
+    tree = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        v = word[p]
+        if v <= p + 1:
+            below = 0
+            k = v
+            while k:
+                below += tree[k]
+                k &= k - 1
+            side[p] = below
+            k = v
+            while k <= n:
+                tree[k] += 1
+                k += k & -k
     return tuple(side)
 
 
 def cyclic_family(pi: Permutation) -> CyclicStatRecord:
+    """The cyclic family in O(n log n), the cost of the side numbers."""
     word = pi.word
     n = len(word)
     last = word[-1] if n else 0
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
     exc = [word[i - 1] for i in ep]
     nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
-    edif: list[int] = []
-    ebot: list[int] = []
-    for i in ep:
-        edif.extend(range(i + 1, word[i - 1] + 1))
-        ebot.extend([i] * i)
     side = side_numbers(pi)
-    ine: list[int] = []
-    for i in range(n):
-        ine.extend([word[i]] * side[i])
     cpk, cval, cda, cdd = [], [], [], []
     for v in range(1, n + 1):
         p = pi.position(v)
@@ -352,9 +396,9 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
         Nexca=IntMultiset(v for v in nexc if v > last),
         Epb=IntMultiset(i for i in ep if i < last),
         Epa=IntMultiset(i for i in ep if i > last),
-        Edif=IntMultiset(edif),
-        Ebot=IntMultiset(ebot),
-        Ine=IntMultiset(ine),
+        Edif=_range_union(((i + 1, word[i - 1] + 1) for i in ep), n),
+        Ebot=IntMultiset.from_pairs((i, i) for i in ep),
+        Ine=_with_counts(word, side),
         side=side,
         Cpk=IntMultiset(cpk),
         Cval=IntMultiset(cval),
@@ -392,17 +436,31 @@ class ShiftedStatRecord:
 
 
 def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
-    """nest_i: nestings with i as the inner endpoint."""
+    """nest_i: nestings with i as the inner endpoint, in O(n log n).
+
+    An excedance i counts the larger letters to its left.  A non-excedance
+    i counts the smaller letters to its right: of the v - 1 letters below
+    v = pi(i), those to the left number i - 1 less the larger letters to
+    the left, which leaves v - i plus them.  One Fenwick sweep over the
+    letters seen so far, as in ``_inversions``, counts the larger letters
+    to the left of every i.
+    """
     word = pi.word
     n = len(word)
+    tree = [0] * (n + 1)
     nest = []
-    for i in range(1, n + 1):
-        v = word[i - 1]
-        if v > i:
-            count = sum(1 for j in range(1, i) if v < word[j - 1])
-        else:
-            count = sum(1 for j in range(i + 1, n + 1) if word[j - 1] < v)
-        nest.append(count)
+    for i, v in enumerate(word, start=1):
+        below = 0
+        k = v
+        while k:
+            below += tree[k]
+            k &= k - 1
+        larger = i - 1 - below
+        nest.append(larger if v > i else v - i + larger)
+        k = v
+        while k <= n:
+            tree[k] += 1
+            k += k & -k
     return tuple(nest)
 
 
@@ -427,6 +485,7 @@ def _variant_nesting(
 
 
 def shifted_family(pi: Permutation) -> ShiftedStatRecord:
+    """The shifted-cyclic family in O(n log n), the cost of the nestings."""
     word = pi.word
     n = len(word)
     pone = pi.position(1)
@@ -448,16 +507,8 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
             scda.append(i)
         else:
             scdd.append(i)
-    vedif: list[int] = []
-    for i in ep:
-        vedif.extend(range(i + 1, word[i - 1]))
-    vedif.extend(range(pone + 1, n + 1))
-    vbot: list[int] = []
-    for i in vnex:
-        vbot.extend([i] * i)
-    vnest_ms: list[int] = []
-    for i in range(1, n + 1):
-        vnest_ms.extend([i] * vnest[i - 1])
+    vedif = [(i + 1, word[i - 1]) for i in ep]
+    vedif.append((pone + 1, n + 1))
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
@@ -474,9 +525,9 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
         Vnexa=IntMultiset(i for i in vnex if i > pone),
         Vepb=IntMultiset(i for i in ep if i < pone),
         Vepa=IntMultiset(i for i in ep if i > pone),
-        Vedif=IntMultiset(vedif),
-        Vbot=IntMultiset(vbot),
-        Vnest=IntMultiset(vnest_ms),
+        Vedif=_range_union(vedif, n),
+        Vbot=IntMultiset.from_pairs((i, i) for i in vnex),
+        Vnest=_with_counts(range(1, n + 1), vnest),
     )
 
 
@@ -656,36 +707,76 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
     return _count_generic(word, values, glued)
 
 
-def coordinate_stat(pi: Permutation, which: str, i: int) -> int:
-    """Coordinate pattern statistic at position i.
+# Coordinate statistics: (adjacent pair is an ascent, sweep from the right).
+_COORDINATES = {
+    "2-13": (True, True),
+    "2-31": (False, True),
+    "31-2": (False, False),
+}
+
+
+def coordinate_counts(pi: Permutation, which: str) -> tuple[int, ...]:
+    """The coordinate statistic ``which`` at every position, in O(n log n).
 
     ``2-13`` counts j with i < j < n and pi(j) < pi(i) < pi(j+1);
     ``2-31`` counts j with i < j < n and pi(j+1) < pi(i) < pi(j);
-    ``31-2`` counts j with j < i－1 and pi(j+1) < pi(i) < pi(j).
+    ``31-2`` counts j with j < i-1 and pi(j+1) < pi(i) < pi(j).
+
+    One Fenwick sweep over the values: each adjacent pair that can serve
+    (an ascent for ``2-13``, a descent otherwise) adds one to every value
+    strictly between its letters, and a letter reads its count as a point
+    query.  ``2-13`` and ``2-31`` sweep right to left, ``31-2`` left to
+    right, and the pair (p, p+1) is added right after position p is
+    queried.  A pair never counts at its own letters, since neither lies
+    strictly between the two, so the sweeps need no other exclusion.
     """
+    try:
+        rising, from_right = _COORDINATES[which]
+    except KeyError:
+        raise ValueError(f"unknown coordinate statistic: {which!r}") from None
     word = pi.word
     n = len(word)
-    if not 1 <= i <= n:
+    tree = [0] * (n + 1)
+    counts = [0] * n
+    for p in (range(n - 1, -1, -1) if from_right else range(n)):
+        c = 0
+        k = word[p]
+        while k:
+            c += tree[k]
+            k &= k - 1
+        counts[p] = c
+        if p < n - 1:
+            a, b = word[p], word[p + 1]
+            if (a < b) == rising:
+                lo, hi = (a, b) if a < b else (b, a)
+                k = lo + 1
+                while k <= n:
+                    tree[k] += 1
+                    k += k & -k
+                k = hi
+                while k <= n:
+                    tree[k] -= 1
+                    k += k & -k
+    return tuple(counts)
+
+
+def coordinate_stat(pi: Permutation, which: str, i: int) -> int:
+    """Coordinate pattern statistic at position i; see ``coordinate_counts``."""
+    if not 1 <= i <= pi.n:
         raise IndexError(i)
-    v = word[i - 1]
-    if which == "2-13":
-        return sum(1 for j in range(i + 1, n) if word[j - 1] < v < word[j])
-    if which == "2-31":
-        return sum(1 for j in range(i + 1, n) if word[j] < v < word[j - 1])
-    if which == "31-2":
-        return sum(1 for j in range(1, i - 1) if word[j] < v < word[j - 1])
-    raise ValueError(f"unknown coordinate statistic: {which!r}")
+    return coordinate_counts(pi, which)[i - 1]
 
 
 def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
-    """The multisets 2-13, 2-31, 31-2: value pi(i) with its coordinate count."""
-    results = []
-    for which in ("2-13", "2-31", "31-2"):
-        items: list[int] = []
-        for i in range(1, pi.n + 1):
-            items.extend([pi.value(i)] * coordinate_stat(pi, which, i))
-        results.append(IntMultiset(items))
-    return results[0], results[1], results[2]
+    """The multisets 2-13, 2-31, 31-2: value pi(i) with its coordinate count.
+
+    Three O(n log n) sweeps; each multiset is built from at most n
+    (value, count) pairs.
+    """
+    m13, m31, m312 = (
+        _with_counts(pi.word, coordinate_counts(pi, which)) for which in _COORDINATES
+    )
+    return m13, m31, m312
 
 
 # ---------------------------------------------------------------------------

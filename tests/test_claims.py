@@ -44,6 +44,9 @@ PINNED = [
     ("phi_csz", lambda pi: pi, [
         ("csz-corollary", 3, 3, "2,3,1: Dt/Exc: {3} != {2,3}"),
     ]),
+    ("coordinate_stat_by_extrema", lambda pi, which, i: 0, [
+        ("fact4.8", 2, 0, "1,2: 2-31 at 1: 1 != 0"),
+    ]),
 ]
 
 

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
 import pytest
 
 from srlaguerre.cli import main
+from srlaguerre.multiset import IntMultiset
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -101,6 +104,34 @@ def test_stat_all_is_json(capsys):
     assert code == 0
     record = json.loads(out)
     assert set(record) == {"linear", "cyclic", "shifted"}
+
+
+def test_stat_all_csv_has_one_row_per_field(capsys):
+    perm = "6,1,8,7,4,2,5,9,3"
+    code, out = run_cli(capsys, "stat", "--perm", perm, "--stat", "all",
+                        "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 3 for row in rows)
+    _, text = run_cli(capsys, "stat", "--perm", perm, "--stat", "all")
+    _, as_json = run_cli(capsys, "stat", "--perm", perm, "--stat", "all",
+                         "--format", "json")
+    assert as_json == text
+    expected = json.loads(text)
+    assert [(family, field) for family, field, _ in rows] == [
+        (family, field) for family, fields in expected.items() for field in fields
+    ]
+    for family, field, value in rows:
+        want = expected[family][field]
+        if value.startswith("{"):
+            assert IntMultiset.from_text(value).to_json() == want
+        elif isinstance(want, list):
+            assert [int(v) for v in value.split(",")] == want
+        else:
+            assert int(value) == want
+    assert ["cyclic", "side", "0,0,0,1,2,0,1,0,0"] in rows
+    assert ["linear", "Des", "{1,3,4,5,8}"] in rows
+    assert ["shifted", "pone", "2"] in rows
 
 
 def test_stat_unknown_name(capsys):

@@ -1,0 +1,517 @@
+"""The sweep kernels against the quadratic code they replaced.
+
+Each ``_old_*`` function below is the implementation that ``src/`` held
+before the coordinate, side and nesting counts became Fenwick sweeps, the
+family multisets were built from (value, count) pairs, the column placement
+found its slot by Fenwick descent and valley hopping ran on one list.  They
+are kept verbatim, renamed with an ``_old_`` prefix, as differential
+oracles: the kernels must agree with them on all of S_n for n <= 7 and on
+seeded random permutations of size 50, 300 and 1000.  ``_old_mfs_full`` is
+the fold of the single-letter hop ``mfs_phi_x``, which is still the
+definition in ``src/``.  The last two tests check that no family builds a
+multiset from more than n items and that no encoding reads the coordinate
+counts one position at a time.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from srlaguerre import bijections, mfs_action, perm_stats
+from srlaguerre.bijections import PlacementImpossible, _place_left, _place_right
+from srlaguerre.mfs_action import (
+    coordinate_stat_zero_boundary,
+    mfs_full,
+    mfs_phi_x,
+    pattern_multisets_zero_boundary,
+)
+from srlaguerre.multiset import IntMultiset
+from srlaguerre.perm_stats import (
+    CyclicStatRecord,
+    LinearStatRecord,
+    Permutation,
+    ShiftedStatRecord,
+    _variant_nesting,
+    coordinate_counts,
+    coordinate_stat,
+    cyclic_family,
+    iter_perms,
+    linear_family,
+    nesting_numbers,
+    pattern_multisets,
+    shifted_family,
+    side_numbers,
+)
+
+_WHICH = ("2-13", "2-31", "31-2")
+
+
+def _old_coordinate_stat(pi: Permutation, which: str, i: int) -> int:
+    """Coordinate pattern statistic at position i.
+
+    ``2-13`` counts j with i < j < n and pi(j) < pi(i) < pi(j+1);
+    ``2-31`` counts j with i < j < n and pi(j+1) < pi(i) < pi(j);
+    ``31-2`` counts j with j < i－1 and pi(j+1) < pi(i) < pi(j).
+    """
+    word = pi.word
+    n = len(word)
+    if not 1 <= i <= n:
+        raise IndexError(i)
+    v = word[i - 1]
+    if which == "2-13":
+        return sum(1 for j in range(i + 1, n) if word[j - 1] < v < word[j])
+    if which == "2-31":
+        return sum(1 for j in range(i + 1, n) if word[j] < v < word[j - 1])
+    if which == "31-2":
+        return sum(1 for j in range(1, i - 1) if word[j] < v < word[j - 1])
+    raise ValueError(f"unknown coordinate statistic: {which!r}")
+
+
+def _old_pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
+    """The multisets 2-13, 2-31, 31-2: value pi(i) with its coordinate count."""
+    results = []
+    for which in ("2-13", "2-31", "31-2"):
+        items: list[int] = []
+        for i in range(1, pi.n + 1):
+            items.extend([pi.value(i)] * _old_coordinate_stat(pi, which, i))
+        results.append(IntMultiset(items))
+    return results[0], results[1], results[2]
+
+
+def _old_coordinate_stat_zero_boundary(pi: Permutation, which: str, i: int) -> int:
+    """Coordinate pattern statistic with the zero boundary in force.
+
+    The virtual letters pi(0) = pi(n+1) = 0 take part in the adjacent pairs,
+    so the final pair (pi(n), 0) is always a descent.  Only ``2-31`` is
+    affected: position i < n gains one occurrence when pi(i) < pi(n).  The
+    ``2-13`` and ``31-2`` counts coincide with the plain ones, since the
+    virtual pairs can never serve them.
+    """
+    base = _old_coordinate_stat(pi, which, i)
+    if which == "2-31" and i < pi.n and pi.value(i) < pi.value(pi.n):
+        base += 1
+    return base
+
+
+def _old_pattern_multisets_zero_boundary(
+    pi: Permutation,
+) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
+    """The three coordinate multisets under the zero boundary."""
+    results = []
+    for which in ("2-13", "2-31", "31-2"):
+        items: list[int] = []
+        for i in range(1, pi.n + 1):
+            items.extend([pi.value(i)] * _old_coordinate_stat_zero_boundary(pi, which, i))
+        results.append(IntMultiset(items))
+    return results[0], results[1], results[2]
+
+
+def _old_side_numbers(pi: Permutation) -> tuple[int, ...]:
+    """Side number of each position.
+
+    An excedance value gets the number of larger letters to its left inside
+    the excedance subword; a non-excedance value gets the number of smaller
+    letters to its right inside the non-excedance subword.
+    """
+    word = pi.word
+    n = len(word)
+    exc_sub = [word[i] for i in range(n) if word[i] > i + 1]
+    nexc_sub = [word[i] for i in range(n) if word[i] <= i + 1]
+    side = []
+    for i in range(n):
+        v = word[i]
+        if v > i + 1:
+            k = exc_sub.index(v)
+            side.append(sum(1 for u in exc_sub[:k] if u > v))
+        else:
+            k = nexc_sub.index(v)
+            side.append(sum(1 for u in nexc_sub[k + 1:] if u < v))
+    return tuple(side)
+
+
+def _old_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
+    """nest_i: nestings with i as the inner endpoint."""
+    word = pi.word
+    n = len(word)
+    nest = []
+    for i in range(1, n + 1):
+        v = word[i - 1]
+        if v > i:
+            count = sum(1 for j in range(1, i) if v < word[j - 1])
+        else:
+            count = sum(1 for j in range(i + 1, n + 1) if word[j - 1] < v)
+        nest.append(count)
+    return tuple(nest)
+
+
+def _old_linear_family(pi: Permutation) -> LinearStatRecord:
+    word = pi.word
+    n = len(word)
+    last = word[-1] if n else 0
+    des_pos: list[int] = []
+    asc_bottoms: list[int] = []
+    ddif: list[int] = []
+    dbot: list[int] = []
+    for i in range(1, n):
+        a, b = word[i - 1], word[i]
+        if a > b:
+            des_pos.append(i)
+            ddif.extend(range(b + 1, a + 1))
+            dbot.extend([b] * b)
+        else:
+            asc_bottoms.append(a)
+    dt = [word[i - 1] for i in des_pos]
+    db = [word[i] for i in des_pos]
+    ides = [i for i in range(1, n) if pi.inverse_word[i - 1] > pi.inverse_word[i]]
+    return LinearStatRecord(
+        Des=IntMultiset(des_pos),
+        Ides=IntMultiset(ides),
+        Dt=IntMultiset(dt),
+        Db=IntMultiset(db),
+        Ab=IntMultiset(asc_bottoms),
+        Dtb=IntMultiset(v for v in dt if v < last),
+        Dta=IntMultiset(v for v in dt if v > last),
+        Dbb=IntMultiset(v for v in db if v < last),
+        Dba=IntMultiset(v for v in db if v > last),
+        Abb=IntMultiset(v for v in asc_bottoms if v < last),
+        Aba=IntMultiset(v for v in asc_bottoms if v > last),
+        Ddif=IntMultiset(ddif),
+        Dbot=IntMultiset(dbot),
+    )
+
+
+def _old_cyclic_family(pi: Permutation) -> CyclicStatRecord:
+    word = pi.word
+    n = len(word)
+    last = word[-1] if n else 0
+    ep = [i for i in range(1, n + 1) if word[i - 1] > i]
+    exc = [word[i - 1] for i in ep]
+    nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
+    edif: list[int] = []
+    ebot: list[int] = []
+    for i in ep:
+        edif.extend(range(i + 1, word[i - 1] + 1))
+        ebot.extend([i] * i)
+    side = _old_side_numbers(pi)
+    ine: list[int] = []
+    for i in range(n):
+        ine.extend([word[i]] * side[i])
+    cpk, cval, cda, cdd = [], [], [], []
+    for v in range(1, n + 1):
+        p = pi.position(v)
+        q = word[v - 1]
+        if p < v and v > q:
+            cpk.append(v)
+        elif p > v and v < q:
+            cval.append(v)
+        elif p < v < q:
+            cda.append(v)
+        else:
+            cdd.append(v)
+    return CyclicStatRecord(
+        Exc=IntMultiset(exc),
+        Nexc=IntMultiset(nexc),
+        Ep=IntMultiset(ep),
+        Excb=IntMultiset(v for v in exc if v < last),
+        Exca=IntMultiset(v for v in exc if v > last),
+        Nexcb=IntMultiset(v for v in nexc if v < last),
+        Nexca=IntMultiset(v for v in nexc if v > last),
+        Epb=IntMultiset(i for i in ep if i < last),
+        Epa=IntMultiset(i for i in ep if i > last),
+        Edif=IntMultiset(edif),
+        Ebot=IntMultiset(ebot),
+        Ine=IntMultiset(ine),
+        side=side,
+        Cpk=IntMultiset(cpk),
+        Cval=IntMultiset(cval),
+        Cda=IntMultiset(cda),
+        Cdd=IntMultiset(cdd),
+    )
+
+
+def _old_shifted_family(pi: Permutation) -> ShiftedStatRecord:
+    word = pi.word
+    n = len(word)
+    pone = pi.position(1)
+    nest = _old_nesting_numbers(pi)
+    vnest = _variant_nesting(word, nest, pone)
+    exc_values = {word[i - 1] for i in range(1, n + 1) if word[i - 1] > i}
+    ep = [i for i in range(1, n + 1) if word[i - 1] > i]
+    nep = [i for i in range(1, n + 1) if word[i - 1] <= i]
+    vnex = [i for i in range(1, n) if i + 1 not in exc_values]
+    scval, scpk, scda, scdd = [], [], [], []
+    for i in range(1, n):
+        up_left = word[i - 1] > i
+        up_right = i + 1 <= pi.position(i + 1)
+        if up_left and up_right:
+            scval.append(i)
+        elif not up_left and not up_right:
+            scpk.append(i)
+        elif up_left:
+            scda.append(i)
+        else:
+            scdd.append(i)
+    vedif: list[int] = []
+    for i in ep:
+        vedif.extend(range(i + 1, word[i - 1]))
+    vedif.extend(range(pone + 1, n + 1))
+    vbot: list[int] = []
+    for i in vnex:
+        vbot.extend([i] * i)
+    vnest_ms: list[int] = []
+    for i in range(1, n + 1):
+        vnest_ms.extend([i] * vnest[i - 1])
+    return ShiftedStatRecord(
+        pone=pone,
+        nest=nest,
+        vnest=vnest,
+        Scval=IntMultiset(scval),
+        Scpk=IntMultiset(scpk),
+        Scda=IntMultiset(scda),
+        Scdd=IntMultiset(scdd),
+        Nep=IntMultiset(nep),
+        Vnex=IntMultiset(vnex),
+        Vnepb=IntMultiset(i for i in nep if i < pone),
+        Vnepa=IntMultiset(i for i in nep if i > pone),
+        Vnexb=IntMultiset(i for i in vnex if i < pone),
+        Vnexa=IntMultiset(i for i in vnex if i > pone),
+        Vepb=IntMultiset(i for i in ep if i < pone),
+        Vepa=IntMultiset(i for i in ep if i > pone),
+        Vedif=IntMultiset(vedif),
+        Vbot=IntMultiset(vbot),
+        Vnest=IntMultiset(vnest_ms),
+    )
+
+
+def _old_place_left(values: list[int], weights: dict[int, int], size: int) -> list[int]:
+    """Place values smallest-first; value x lands in the c_x-th empty slot
+    counted from the left (1-based)."""
+    row: list[int | None] = [None] * size
+    for x in sorted(values):
+        empties = [p for p, v in enumerate(row) if v is None]
+        k = weights[x] - 1
+        if not 0 <= k < len(empties):
+            raise PlacementImpossible(f"value {x} wants empty slot {k + 1}")
+        row[empties[k]] = x
+    return [v for v in row if v is not None]
+
+
+def _old_place_right(values: list[int], weights: dict[int, int], size: int) -> list[int]:
+    """Place values largest-first; value x keeps c_x empty slots to its
+    right."""
+    row: list[int | None] = [None] * size
+    for x in sorted(values, reverse=True):
+        empties = [p for p, v in enumerate(row) if v is None]
+        k = weights[x]
+        if not 0 <= k < len(empties):
+            raise PlacementImpossible(f"value {x} wants {k} empty slots right")
+        row[empties[len(empties) - 1 - k]] = x
+    return [v for v in row if v is not None]
+
+
+def _old_mfs_full(pi: Permutation) -> Permutation:
+    """Every letter hopped by the single-letter action, one Permutation per hop."""
+    result = pi
+    for x in range(1, pi.n + 1):
+        result = mfs_phi_x(result, x)
+    return result
+
+
+def _random_perms(n: int, count: int, seed: int) -> list[Permutation]:
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        word = list(range(1, n + 1))
+        rng.shuffle(word)
+        words.append(Permutation(word))
+    return words
+
+
+def _small_perms(top: int = 7):
+    for n in range(1, top + 1):
+        yield from iter_perms(n)
+
+
+_LARGE = [
+    *_random_perms(50, 20, 4101),
+    *_random_perms(300, 3, 4102),
+    *_random_perms(1000, 1, 4103),
+    # Monotone and near-monotone words give the longest ranges and blocks.
+    Permutation(range(300, 0, -1)),
+    Permutation([*range(2, 301), 1]),
+]
+
+
+def _check_counts(pi: Permutation) -> None:
+    n = pi.n
+    for which in _WHICH:
+        old = tuple(_old_coordinate_stat(pi, which, i) for i in range(1, n + 1))
+        assert coordinate_counts(pi, which) == old, (pi, which)
+    assert side_numbers(pi) == _old_side_numbers(pi), pi
+    assert nesting_numbers(pi) == _old_nesting_numbers(pi), pi
+
+
+def _check_families(pi: Permutation) -> None:
+    assert linear_family(pi) == _old_linear_family(pi), pi
+    assert cyclic_family(pi) == _old_cyclic_family(pi), pi
+    assert shifted_family(pi) == _old_shifted_family(pi), pi
+    assert pattern_multisets(pi) == _old_pattern_multisets(pi), pi
+    assert pattern_multisets_zero_boundary(pi) == _old_pattern_multisets_zero_boundary(pi), pi
+
+
+def test_counts_match_oracles_on_small_perms():
+    for pi in _small_perms():
+        _check_counts(pi)
+
+
+def test_per_position_readers_match_oracles():
+    for pi in _small_perms(6):
+        for which in _WHICH:
+            for i in range(1, pi.n + 1):
+                assert coordinate_stat(pi, which, i) == _old_coordinate_stat(pi, which, i)
+                assert coordinate_stat_zero_boundary(pi, which, i) == \
+                    _old_coordinate_stat_zero_boundary(pi, which, i)
+
+
+def test_families_match_oracles_on_small_perms():
+    for pi in _small_perms():
+        _check_families(pi)
+
+
+def test_mfs_full_matches_fold_of_single_hops_on_small_perms():
+    for pi in _small_perms():
+        assert mfs_full(pi) == _old_mfs_full(pi), pi
+
+
+@pytest.mark.parametrize("pi", _LARGE, ids=lambda pi: f"n{pi.n}-{hash(pi.word) % 1000}")
+def test_kernels_match_oracles_on_large_perms(pi):
+    _check_counts(pi)
+    _check_families(pi)
+    assert mfs_full(pi) == _old_mfs_full(pi)
+
+
+def test_coordinate_errors_unchanged():
+    pi = Permutation.from_text("2413")
+    for fn in (coordinate_stat, _old_coordinate_stat):
+        with pytest.raises(IndexError):
+            fn(pi, "2-31", 0)
+        with pytest.raises(IndexError):
+            fn(pi, "bogus", 5)
+        with pytest.raises(ValueError, match="unknown coordinate statistic"):
+            fn(pi, "bogus", 1)
+    with pytest.raises(ValueError, match="unknown coordinate statistic"):
+        coordinate_counts(pi, "2-21")
+
+
+def _placement(place, values, weights, size):
+    try:
+        return place(values, weights, size)
+    except PlacementImpossible as exc:
+        return ("PlacementImpossible", str(exc))
+
+
+def _random_placement_case(rng: random.Random, size: int, spill: int):
+    """Distinct values with weights mostly in range; ``spill`` widens the
+    weight range and the value count past what the row can hold."""
+    count = max(0, size + rng.randint(-2, spill))
+    values = rng.sample(range(1, 2 * count + 3), count)
+    weights = {x: rng.randint(-spill, size + spill) for x in values}
+    return values, weights
+
+
+def test_placement_matches_oracle_including_impossible_cases():
+    rng = random.Random(4104)
+    impossible = 0
+    for _ in range(4000):
+        size = rng.randint(0, 9)
+        values, weights = _random_placement_case(rng, size, rng.choice((0, 1, 2)))
+        for new, old in ((_place_left, _old_place_left), (_place_right, _old_place_right)):
+            got = _placement(new, values, weights, size)
+            assert got == _placement(old, values, weights, size), (values, weights, size)
+            impossible += isinstance(got, tuple)
+    assert impossible > 1000
+
+
+@pytest.mark.parametrize("size", [50, 300, 1000])
+def test_placement_matches_oracle_at_large_size(size):
+    rng = random.Random(4105 + size)
+    values = rng.sample(range(1, 3 * size), size)
+    # Weights that always fit, so the whole row is placed.
+    left = {x: rng.randint(1, size - k) for k, x in enumerate(sorted(values))}
+    right = {x: rng.randint(0, size - 1 - k)
+             for k, x in enumerate(sorted(values, reverse=True))}
+    assert _place_left(values, left, size) == _old_place_left(values, left, size)
+    assert _place_right(values, right, size) == _old_place_right(values, right, size)
+    # One value asking for a slot that is gone by its turn.
+    last = sorted(values)[-1]
+    left[last] = 2
+    assert _placement(_place_left, values, left, size) == \
+        _placement(_old_place_left, values, left, size) == \
+        ("PlacementImpossible", f"value {last} wants empty slot 2")
+    first = sorted(values)[0]
+    right[first] = 1
+    assert _placement(_place_right, values, right, size) == \
+        _placement(_old_place_right, values, right, size) == \
+        ("PlacementImpossible", f"value {first} wants 1 empty slots right")
+
+
+# ---------------------------------------------------------------------------
+# No quadratic intermediates
+# ---------------------------------------------------------------------------
+
+class _ConsumptionMeter:
+    """Counts the items each IntMultiset constructor call consumes."""
+
+    def __init__(self, monkeypatch):
+        self.sizes: list[int] = []
+        init = IntMultiset.__init__
+        from_pairs = IntMultiset.from_pairs.__func__
+        meter = self
+
+        def counted(items):
+            seen = 0
+            for item in items:
+                seen += 1
+                yield item
+            meter.sizes.append(seen)
+
+        def counting_init(self, values=()):
+            init(self, counted(values))
+
+        def counting_from_pairs(cls, pairs):
+            return from_pairs(cls, counted(pairs))
+
+        monkeypatch.setattr(IntMultiset, "__init__", counting_init)
+        monkeypatch.setattr(IntMultiset, "from_pairs", classmethod(counting_from_pairs))
+
+
+@pytest.mark.parametrize("kernel", [
+    linear_family, cyclic_family, shifted_family,
+    pattern_multisets, pattern_multisets_zero_boundary,
+], ids=lambda f: f.__name__)
+def test_no_multiset_consumes_more_than_n_items(kernel, monkeypatch):
+    n = 300
+    pi = Permutation(range(n, 0, -1))
+    spread = _random_perms(n, 1, 4106)[0]
+    meter = _ConsumptionMeter(monkeypatch)
+    for word in (pi, spread):
+        kernel(word)
+    assert meter.sizes, "no IntMultiset was built"
+    assert max(meter.sizes) <= n
+
+
+def test_phi_fv_and_pattern_multisets_make_no_per_position_calls(monkeypatch):
+    calls = []
+
+    def counting(pi, which, i):
+        calls.append((which, i))
+        return perm_stats.coordinate_counts(pi, which)[i - 1]
+
+    for module in (perm_stats, bijections, mfs_action):
+        monkeypatch.setattr(module, "coordinate_stat", counting, raising=False)
+    pi = _random_perms(300, 1, 4107)[0]
+    bijections.phi_fv(pi)
+    perm_stats.pattern_multisets(pi)
+    mfs_action.pattern_multisets_zero_boundary(pi)
+    assert calls == []
