@@ -11,19 +11,22 @@ each encoding.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .histories import (
     LaguerreHistory,
     NDE_STEPS,
     NE_STEPS,
     StepType,
     critical_step,
-    history_statistics,
 )
 from .involution import xi
 from .perm_stats import (
     Permutation,
     coordinate_counts,
+    cyclic_classes,
     linear_class,
+    shifted_classes,
     side_numbers,
     variant_nesting_numbers,
 )
@@ -41,12 +44,12 @@ class ArcMismatch(ValueError):
     """Semi-arc inversion produced an inconsistent diagram."""
 
 
-_CLASS_TO_STEP = {
-    "valley": StepType.N,
-    "peak": StepType.S,
-    "double_ascent": StepType.E,
-    "double_descent": StepType.DE,
-}
+def _history(steps: list[StepType], counts: Sequence[int]) -> LaguerreHistory:
+    """The history whose weight at step i is counts[i], plus one on S and dE
+    steps; the rule shared by the three encodings."""
+    return LaguerreHistory(
+        steps, [c + (step not in NE_STEPS) for step, c in zip(steps, counts)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +65,14 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
     of i is its 2-31 coordinate count, plus one on S and dE steps.  One
     O(n log n) sweep gives every count.
     """
-    n = pi.n
+    word = pi.word
+    right = pi.n + 1
     counts = coordinate_counts(pi, "2-31")
-    steps = []
-    weights = []
-    for i in range(1, n + 1):
-        p = pi.position(i)
-        step = _CLASS_TO_STEP[linear_class(pi.word, p, 0, n + 1)]
-        c = counts[p - 1]
-        if step not in NE_STEPS:
-            c += 1
-        steps.append(step)
-        weights.append(c)
-    return LaguerreHistory(steps, weights)
+    positions = pi.inverse_word
+    return _history(
+        [linear_class(word, p, 0, right) for p in positions],
+        [counts[p - 1] for p in positions],
+    )
 
 
 def phi_fv_inv(history: LaguerreHistory) -> Permutation:
@@ -116,40 +114,24 @@ def phi_fz(pi: Permutation) -> LaguerreHistory:
     """Encode by the cyclic class of each value.
 
     Value i becomes N / S / E / dE according to whether it is a cyclic
-    valley, cyclic peak, cyclic double descent, or cyclic double ascent.
-    The weight of i is the side number at position pi^{-1}(i), plus one on
-    S and dE steps.
+    valley, cyclic peak, cyclic double descent, or cyclic double ascent
+    (``cyclic_classes``).  The weight of i is the side number at position
+    pi^{-1}(i), plus one on S and dE steps.
     """
-    n = pi.n
     side = side_numbers(pi)
-    steps = []
-    weights = []
-    for i in range(1, n + 1):
-        p = pi.position(i)
-        q = pi.value(i)
-        if p > i < q:
-            step = StepType.N
-        elif p < i > q:
-            step = StepType.S
-        elif p >= i >= q:
-            step = StepType.E
-        else:
-            step = StepType.DE
-        c = side[p - 1]
-        if step not in NE_STEPS:
-            c += 1
-        steps.append(step)
-        weights.append(c)
-    return LaguerreHistory(steps, weights)
+    return _history(cyclic_classes(pi), [side[p - 1] for p in pi.inverse_word])
 
 
 def _place(values: list[int], weights: dict[int, int], size: int,
            from_right: bool) -> list[int]:
     """Place values into a row of ``size`` empty slots and read the filled
-    row left to right; see ``_place_left`` and ``_place_right``.
+    row left to right.
 
-    A Fenwick tree over the slots, 1 for empty, finds the k-th empty slot
-    from the left by binary descent, so n placements cost O(n log n).
+    From the left, values go smallest-first and x lands in the c_x-th
+    empty slot counted from the left (1-based); from the right, values go
+    largest-first and x keeps c_x empty slots to its right.  A Fenwick
+    tree over the slots, 1 for empty, finds the k-th empty slot from the
+    left by binary descent, so n placements cost O(n log n).
     """
     tree = [i & -i for i in range(size + 1)]
     top = 1 << size.bit_length() >> 1
@@ -181,18 +163,6 @@ def _place(values: list[int], weights: dict[int, int], size: int,
     return [v for v in row if v is not None]
 
 
-def _place_left(values: list[int], weights: dict[int, int], size: int) -> list[int]:
-    """Place values smallest-first; value x lands in the c_x-th empty slot
-    counted from the left (1-based).  O(n log n)."""
-    return _place(values, weights, size, False)
-
-
-def _place_right(values: list[int], weights: dict[int, int], size: int) -> list[int]:
-    """Place values largest-first; value x keeps c_x empty slots to its
-    right.  O(n log n)."""
-    return _place(values, weights, size, True)
-
-
 def phi_fz_inv(history: LaguerreHistory) -> Permutation:
     """Invert the cyclic encoding by building two placement words.
 
@@ -209,8 +179,8 @@ def phi_fz_inv(history: LaguerreHistory) -> Permutation:
     ne = [i for i in range(1, n + 1) if history.step(i) in NE_STEPS]
     if len(nde) != len(sde) or len(se) != len(ne):
         raise PlacementImpossible("column counts disagree")
-    exc_bottom = _place_left(sde, weights, len(nde))
-    nexc_bottom = _place_right(ne, weights, len(se))
+    exc_bottom = _place(sde, weights, len(nde), False)
+    nexc_bottom = _place(ne, weights, len(se), True)
     word = [0] * n
     for pos, val in zip(nde + se, exc_bottom + nexc_bottom):
         word[pos - 1] = val
@@ -226,38 +196,19 @@ def phi_fz_inv(history: LaguerreHistory) -> Permutation:
 def phi_yzl(pi: Permutation) -> LaguerreHistory:
     """Encode by the shifted-cyclic class of each index.
 
-    For i < n away from pone (the position of the letter 1), the step is
-    N / S / E / dE according to the shifted valley / peak / double-descent /
-    double-ascent classes; i = pone < n takes N or E, and i = n takes S
-    unless pone = n, in which case E.  The weight of i is the variant
-    nesting number, plus one on S and dE steps.
+    For i < n the step is the shifted class of i (``shifted_classes``),
+    except at pone (the position of the letter 1), where pi(pone) = 1
+    leaves only S or dE and these become E and N.  i = n takes S unless
+    pone = n, in which case E.  The weight of i is the variant nesting
+    number, plus one on S and dE steps.
     """
     n = pi.n
     pone = pi.position(1)
-    vnest = variant_nesting_numbers(pi)
-    steps = []
-    for i in range(1, n + 1):
-        if i == n:
-            step = StepType.E if pone == n else StepType.S
-        elif i == pone:
-            step = StepType.N if i + 1 <= pi.position(i + 1) else StepType.E
-        else:
-            up_left = pi.value(i) > i
-            up_right = i + 1 <= pi.position(i + 1)
-            if up_left and up_right:
-                step = StepType.N
-            elif not up_left and not up_right:
-                step = StepType.S
-            elif up_left:
-                step = StepType.E
-            else:
-                step = StepType.DE
-        steps.append(step)
-    weights = [
-        vnest[i - 1] + (1 if steps[i - 1] not in NE_STEPS else 0)
-        for i in range(1, n + 1)
-    ]
-    return LaguerreHistory(steps, weights)
+    steps = shifted_classes(pi)
+    if pone < n:
+        steps[pone - 1] = StepType.E if steps[pone - 1] is StepType.S else StepType.N
+    steps.append(StepType.E if pone == n else StepType.S)
+    return _history(steps, variant_nesting_numbers(pi))
 
 
 def phi_yzl_inv(history: LaguerreHistory) -> Permutation:
@@ -267,48 +218,30 @@ def phi_yzl_inv(history: LaguerreHistory) -> Permutation:
     endpoint, BL below for a weak-deficiency right endpoint) and one inward
     stub (AL above right endpoint, BR below left endpoint).  Nesting
     numbers recovered from the weights dictate how stubs are paired.
+    The empty history decodes to the empty permutation.
     """
     n = history.n
+    if not n:
+        return Permutation(())
     k = critical_step(history)
-    stats = history_statistics(history)
 
     ar: list[int] = []
     al: list[int] = []
     bl: list[int] = []
     br: list[int] = [1]
     bl.extend({k, n})
-    if k < n:
-        if history.step(k) is StepType.N:
-            br.append(k + 1)
-        else:
-            al.append(k + 1)
-    for i in range(1, n):
-        if i == k:
-            continue
-        step = history.step(i)
-        if step is StepType.N:
-            ar.append(i)
-            br.append(i + 1)
-        elif step is StepType.E:
-            ar.append(i)
-            al.append(i + 1)
-        elif step is StepType.DE:
-            bl.append(i)
-            br.append(i + 1)
-        else:
-            bl.append(i)
-            al.append(i + 1)
+    for i, step in enumerate(history.w[:-1], start=1):
+        if i != k:
+            (ar if step in NE_STEPS else bl).append(i)
+        (br if step in NDE_STEPS else al).append(i + 1)
     if len(ar) != len(al) or len(bl) != len(br):
         raise ArcMismatch("stub counts disagree")
 
-    nest = {}
-    for i in range(1, n + 1):
-        nest[i] = (
-            history.weight(i)
-            - (1 if history.step(i) not in NE_STEPS else 0)
-            + (1 if i in stats.Sdeb else 0)
-            - (1 if i in stats.Nea else 0)
-        )
+    # nest_i is c_i less one on S and dE steps, plus one on the S and dE
+    # steps before k, less one on the N and E steps after k: c_i up to k
+    # and c_i - 1 after it.  Index 0 is padding.
+    c = history.c
+    nest = (0,) + c[:k] + tuple(x - 1 for x in c[k:])
 
     sigma: dict[int, int] = {}
     remaining_al = sorted(al, reverse=True)

@@ -134,8 +134,8 @@ def _test_involution(n: int, w_hist: LaguerreHistory) -> str | None:
 def _test_five_stat_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
     g = history_statistics(w_hist)
     h = history_statistics(xi(w_hist))
-    lhs = (g.ht - g.wt, g.neb, g.sdeb, g.nea, g.sdea)
-    rhs = (h.ht - h.wt, h.sdea, h.nea, h.sdeb, h.neb)
+    lhs = (len(g.Ht) - len(g.Wt), len(g.Neb), len(g.Sdeb), len(g.Nea), len(g.Sdea))
+    rhs = (len(h.Ht) - len(h.Wt), len(h.Sdea), len(h.Nea), len(h.Sdeb), len(h.Neb))
     if lhs != rhs:
         return f"{w_hist.to_text()}: {lhs} != {rhs}"
     return None
@@ -161,15 +161,15 @@ def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
     g = history_statistics(w_hist)
     h = history_statistics(xi(w_hist))
     ok = (
-        g.neb == h.sdea
-        and g.sdeb == h.nea
-        and g.nea == h.sdeb
-        and g.sdea == h.neb
-        and g.nde == n - 1 - h.nde
-        and g.asc == n - 1 - h.asc
+        len(g.Neb) == len(h.Sdea)
+        and len(g.Sdeb) == len(h.Nea)
+        and len(g.Nea) == len(h.Sdeb)
+        and len(g.Sdea) == len(h.Neb)
+        and len(g.Nde) == n - 1 - len(h.Nde)
+        and len(g.Asc) == n - 1 - len(h.Asc)
         and g.cs == n + 1 - h.cs
-        and g.ht == h.ht + h.neb - h.sdea
-        and g.wt == h.wt + h.neb - h.sdea
+        and len(g.Ht) == len(h.Ht) + len(h.Neb) - len(h.Sdea)
+        and len(g.Wt) == len(h.Wt) + len(h.Neb) - len(h.Sdea)
     )
     return None if ok else f"{w_hist.to_text()}: exponent relations violated"
 
@@ -340,7 +340,7 @@ def _test_valley_hopping(n: int, pi: Permutation) -> str | None:
         return f"{pi.to_text()}: double application differs"
     lp = linear_family(pi)
     ls = linear_family(sigma)
-    if ls.des != n - 1 - lp.des:
+    if len(ls.Des) != n - 1 - len(lp.Des):
         return f"{pi.to_text()}: descent counts not complementary"
     mp, ms = pattern_multisets(pi), pattern_multisets(sigma)
     if mp[0] != ms[0] or mp[2] != ms[2]:

@@ -60,6 +60,9 @@ EXIT_INVARIANT = 4
 EXIT_UNKNOWN_NAME = 5
 
 DEFAULT_MAX_N = 10
+# The last moment is at most (count + alpha)!, which has 2,568 digits at
+# 1000: within Python's 4,300-digit limit on int-to-str conversion.
+MAX_MOMENTS_SIZE = 1000
 
 
 class _Exit(Exception):
@@ -261,6 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: n-max must be in 1..{_max_n()}", file=sys.stderr)
         return EXIT_BAD_ARGS
     failed = False
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     for claim_id in ids:
         for n in range(1, args.n_max + 1):
             try:
@@ -271,11 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if args.format == "json":
                 print(json.dumps(outcome.to_json()))
             elif args.format == "csv":
-                print(
-                    f"{outcome.claim},{outcome.n},{outcome.status},"
-                    f"{outcome.checked},{outcome.millis},"
-                    f"{outcome.counterexample or ''}"
-                )
+                writer.writerow((outcome.claim, outcome.n, outcome.status,
+                                 outcome.checked, outcome.millis,
+                                 outcome.counterexample or ""))
             else:
                 line = (
                     f"{outcome.claim} n={outcome.n}: {outcome.status}"
@@ -292,6 +294,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     if args.count < 1 or args.alpha < 0:
         print("error: count must be positive and alpha nonnegative",
+              file=sys.stderr)
+        return EXIT_BAD_ARGS
+    if args.count + args.alpha > MAX_MOMENTS_SIZE:
+        print(f"error: count + alpha must be at most {MAX_MOMENTS_SIZE}",
               file=sys.stderr)
         return EXIT_BAD_ARGS
     alpha = args.alpha

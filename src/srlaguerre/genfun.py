@@ -130,7 +130,8 @@ A_VARIABLES = ("t1", "t2", "t3", "t4", "r", "s", "x", "v", "w")
 
 def _a_exponents(history: LaguerreHistory) -> tuple[int, ...]:
     g = history_statistics(history)
-    return (g.sdeb, g.sdea, g.neb, g.nea, g.nde, g.asc, g.cs, g.ht, g.wt)
+    return (len(g.Sdeb), len(g.Sdea), len(g.Neb), len(g.Nea), len(g.Nde),
+            len(g.Asc), g.cs, len(g.Ht), len(g.Wt))
 
 
 def a_polynomial(n: int) -> MultiPoly:

@@ -32,17 +32,14 @@ class StepType(IntEnum):
 
     @property
     def rise(self) -> int:
-        if self is StepType.N:
-            return 1
-        if self is StepType.S:
-            return -1
-        return 0
+        return _RISE[self]
 
     @property
     def letter(self) -> str:
         return _LETTER[self]
 
 
+_RISE = (1, 0, 0, -1)  # indexed by step: N, E, dE, S
 _LETTER = {StepType.N: "N", StepType.E: "E", StepType.DE: "D", StepType.S: "S"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
 
@@ -195,7 +192,8 @@ class HistoryStatRecord:
     cs, Nea/Sdea/Ndea strictly after.  Nde takes indices in [n-1] only.
     Asc holds the indices i in [n-1] where the weights "ascend":
     c_i < c_{i+1} for an NE step i, c_i <= c_{i+1} for an SdE step i.
-    Ht has h_i copies of i, Wt has c_i copies of i.
+    Ht has h_i copies of i, Wt has c_i copies of i.  A count is the
+    cardinality of its multiset, ``len(record.Neb)``.
     """
 
     cs: int
@@ -209,38 +207,6 @@ class HistoryStatRecord:
     Asc: IntMultiset
     Ht: IntMultiset
     Wt: IntMultiset
-
-    @property
-    def neb(self) -> int:
-        return self.Neb.cardinality
-
-    @property
-    def sdeb(self) -> int:
-        return self.Sdeb.cardinality
-
-    @property
-    def nea(self) -> int:
-        return self.Nea.cardinality
-
-    @property
-    def sdea(self) -> int:
-        return self.Sdea.cardinality
-
-    @property
-    def nde(self) -> int:
-        return self.Nde.cardinality
-
-    @property
-    def asc(self) -> int:
-        return self.Asc.cardinality
-
-    @property
-    def ht(self) -> int:
-        return self.Ht.cardinality
-
-    @property
-    def wt(self) -> int:
-        return self.Wt.cardinality
 
 
 def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:

@@ -14,48 +14,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .histories import StepType
 from .multiset import IntMultiset
 from .perm_stats import Permutation, coordinate_counts, linear_class
+
+# Enum members bound once: reading them off the class costs an attribute
+# lookup on every use in the per-letter loops.
+_N, _E, _DE, _S = StepType.N, StepType.E, StepType.DE, StepType.S
 
 
 @dataclass(frozen=True)
 class StarredClasses:
-    """Values of a permutation classified under the zero boundary."""
+    """Values of a permutation by their ``linear_class`` under the zero
+    boundary: peaks S, valleys N, double ascents E, double descents dE."""
 
     Lpk: IntMultiset
     Lval: IntMultiset
     Lda: IntMultiset
     Ldd: IntMultiset
 
-    @property
-    def lpk(self) -> int:
-        return self.Lpk.cardinality
-
-    @property
-    def lval(self) -> int:
-        return self.Lval.cardinality
-
-    @property
-    def lda(self) -> int:
-        return self.Lda.cardinality
-
-    @property
-    def ldd(self) -> int:
-        return self.Ldd.cardinality
-
 
 def starred_classes(pi: Permutation) -> StarredClasses:
     """Classify every value of pi as peak / valley / double ascent / descent."""
-    buckets: dict[str, list[int]] = {
-        "peak": [], "valley": [], "double_ascent": [], "double_descent": [],
-    }
-    for p in range(1, pi.n + 1):
-        buckets[linear_class(pi.word, p, 0, 0)].append(pi.word[p - 1])
+    word = pi.word
+    values: tuple[list[int], ...] = ([], [], [], [])
+    for p, v in enumerate(word, start=1):
+        values[linear_class(word, p, 0, 0)].append(v)
     return StarredClasses(
-        Lpk=IntMultiset(buckets["peak"]),
-        Lval=IntMultiset(buckets["valley"]),
-        Lda=IntMultiset(buckets["double_ascent"]),
-        Ldd=IntMultiset(buckets["double_descent"]),
+        Lpk=IntMultiset(values[_S]),
+        Lval=IntMultiset(values[_N]),
+        Lda=IntMultiset(values[_E]),
+        Ldd=IntMultiset(values[_DE]),
     )
 
 
@@ -80,7 +69,7 @@ def x_factorization(
 
 def mfs_phi_x(pi: Permutation, x: int) -> Permutation:
     """One hop: swap the blocks around x unless x is a valley."""
-    if linear_class(pi.word, pi.position(x), 0, 0) == "valley":
+    if linear_class(pi.word, pi.position(x), 0, 0) is _N:
         return pi
     w1, w2, w3, w4 = x_factorization(pi, x)
     return Permutation(w1 + w3 + (x,) + w2 + w4)
@@ -150,18 +139,18 @@ def pattern_multisets_zero_boundary(
     return multisets[0], multisets[1], multisets[2]
 
 
-def _extrema_sequence(pi: Permutation) -> list[tuple[int, int, str]]:
-    """Valleys and peaks left to right as (position, value, kind).
+def _extrema_sequence(pi: Permutation) -> list[tuple[int, int, StepType]]:
+    """Valleys (N) and peaks (S) left to right as (position, value, class).
 
     The zero boundary contributes virtual valleys of value 0 at positions 0
     and n+1.
     """
-    out = [(0, 0, "valley")]
+    out = [(0, 0, _N)]
     for p in range(1, pi.n + 1):
         kind = linear_class(pi.word, p, 0, 0)
-        if kind in ("valley", "peak"):
+        if kind is _N or kind is _S:
             out.append((p, pi.word[p - 1], kind))
-    out.append((pi.n + 1, 0, "valley"))
+    out.append((pi.n + 1, 0, _N))
     return out
 
 
@@ -179,15 +168,15 @@ def coordinate_stat_by_extrema(pi: Permutation, which: str, i: int) -> int:
     count = 0
     for (j, vj, kind_j), (k, vk, kind_k) in zip(extrema, extrema[1:]):
         if which == "2-13":
-            if kind_j == "valley" and kind_k == "peak" and i < j:
+            if kind_j is _N and kind_k is _S and i < j:
                 if vj < v < vk:
                     count += 1
         elif which == "2-31":
-            if kind_j == "peak" and kind_k == "valley" and i < j:
+            if kind_j is _S and kind_k is _N and i < j:
                 if vk < v < vj:
                     count += 1
         elif which == "31-2":
-            if kind_j == "peak" and kind_k == "valley" and k < i:
+            if kind_j is _S and kind_k is _N and k < i:
                 if vk < v < vj:
                     count += 1
         else:

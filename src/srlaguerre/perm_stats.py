@@ -31,7 +31,12 @@ from functools import lru_cache, partial
 from itertools import accumulate, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .histories import StepType
 from .multiset import IntMultiset
+
+# Enum members bound once: reading them off the class costs an attribute
+# lookup on every use in the per-letter loops.
+_N, _E, _DE, _S = StepType.N, StepType.E, StepType.DE, StepType.S
 
 
 class NotAPermutation(ValueError):
@@ -77,10 +82,7 @@ class Permutation:
     @property
     def inverse_word(self) -> tuple[int, ...]:
         if self._inverse is None:
-            inv = [0] * len(self.word)
-            for i, v in enumerate(self.word, start=1):
-                inv[v - 1] = i
-            self._inverse = tuple(inv)
+            self._inverse = _invert(self.word)
         return self._inverse
 
     def position(self, v: int) -> int:
@@ -223,22 +225,6 @@ class LinearStatRecord:
     Ddif: IntMultiset
     Dbot: IntMultiset
 
-    @property
-    def des(self) -> int:
-        return self.Des.cardinality
-
-    @property
-    def ides(self) -> int:
-        return self.Ides.cardinality
-
-    @property
-    def ddif(self) -> int:
-        return self.Ddif.cardinality
-
-    @property
-    def dbot(self) -> int:
-        return self.Dbot.cardinality
-
 
 def linear_family(pi: Permutation) -> LinearStatRecord:
     """The linear family in O(n): no multiset holds more than n entries."""
@@ -299,26 +285,6 @@ class CyclicStatRecord:
     Cda: IntMultiset
     Cdd: IntMultiset
 
-    @property
-    def exc(self) -> int:
-        return self.Exc.cardinality
-
-    @property
-    def nexc(self) -> int:
-        return self.Nexc.cardinality
-
-    @property
-    def edif(self) -> int:
-        return self.Edif.cardinality
-
-    @property
-    def ebot(self) -> int:
-        return self.Ebot.cardinality
-
-    @property
-    def ine(self) -> int:
-        return self.Ine.cardinality
-
 
 def side_numbers(pi: Permutation) -> tuple[int, ...]:
     """Side number of each position, in O(n log n).
@@ -365,6 +331,26 @@ def side_numbers(pi: Permutation) -> tuple[int, ...]:
     return tuple(side)
 
 
+def cyclic_classes(pi: Permutation) -> list[StepType]:
+    """The cyclic class of each value v = 1..n, as a step.
+
+    With p = pi^{-1}(v) and q = pi(v): a cyclic valley (p > v < q) is N, a
+    cyclic peak (p < v > q) S, a cyclic double descent or fixed point
+    (p >= v >= q) E, and a cyclic double ascent (p < v < q) dE.
+    """
+    classes = []
+    for v, (q, p) in enumerate(zip(pi.word, pi.inverse_word), start=1):
+        if p > v < q:
+            classes.append(_N)
+        elif p < v > q:
+            classes.append(_S)
+        elif p >= v >= q:
+            classes.append(_E)
+        else:
+            classes.append(_DE)
+    return classes
+
+
 def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     """The cyclic family in O(n log n), the cost of the side numbers."""
     word = pi.word
@@ -374,18 +360,9 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     exc = [word[i - 1] for i in ep]
     nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
     side = side_numbers(pi)
-    cpk, cval, cda, cdd = [], [], [], []
-    for v in range(1, n + 1):
-        p = pi.position(v)
-        q = word[v - 1]
-        if p < v and v > q:
-            cpk.append(v)
-        elif p > v and v < q:
-            cval.append(v)
-        elif p < v < q:
-            cda.append(v)
-        else:
-            cdd.append(v)
+    values: tuple[list[int], ...] = ([], [], [], [])
+    for v, step in enumerate(cyclic_classes(pi), start=1):
+        values[step].append(v)
     return CyclicStatRecord(
         Exc=IntMultiset(exc),
         Nexc=IntMultiset(nexc),
@@ -400,10 +377,10 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
         Ebot=IntMultiset.from_pairs((i, i) for i in ep),
         Ine=_with_counts(word, side),
         side=side,
-        Cpk=IntMultiset(cpk),
-        Cval=IntMultiset(cval),
-        Cda=IntMultiset(cda),
-        Cdd=IntMultiset(cdd),
+        Cpk=IntMultiset(values[_S]),
+        Cval=IntMultiset(values[_N]),
+        Cda=IntMultiset(values[_DE]),
+        Cdd=IntMultiset(values[_E]),
     )
 
 
@@ -484,6 +461,25 @@ def _variant_nesting(
     return tuple(vnest)
 
 
+def shifted_classes(pi: Permutation) -> list[StepType]:
+    """The shifted class of each i in [n-1], as a step.
+
+    i rises on the left when pi(i) > i and on the right when
+    i + 1 <= pi^{-1}(i+1): a shifted valley (both) is N, a shifted peak
+    (neither) S, a left rise alone E and a right rise alone dE.
+    """
+    word = pi.word
+    inverse = pi.inverse_word
+    classes = []
+    for i in range(1, len(word)):
+        up_right = i + 1 <= inverse[i]
+        if word[i - 1] > i:
+            classes.append(_N if up_right else _E)
+        else:
+            classes.append(_DE if up_right else _S)
+    return classes
+
+
 def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     """The shifted-cyclic family in O(n log n), the cost of the nestings."""
     word = pi.word
@@ -491,32 +487,23 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     pone = pi.position(1)
     nest = nesting_numbers(pi)
     vnest = _variant_nesting(word, nest, pone)
-    exc_values = {word[i - 1] for i in range(1, n + 1) if word[i - 1] > i}
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
     nep = [i for i in range(1, n + 1) if word[i - 1] <= i]
-    vnex = [i for i in range(1, n) if i + 1 not in exc_values]
-    scval, scpk, scda, scdd = [], [], [], []
-    for i in range(1, n):
-        up_left = word[i - 1] > i
-        up_right = i + 1 <= pi.position(i + 1)
-        if up_left and up_right:
-            scval.append(i)
-        elif not up_left and not up_right:
-            scpk.append(i)
-        elif up_left:
-            scda.append(i)
-        else:
-            scdd.append(i)
+    indices: tuple[list[int], ...] = ([], [], [], [])
+    for i, step in enumerate(shifted_classes(pi), start=1):
+        indices[step].append(i)
+    # i + 1 is no excedance value exactly when i rises on the right.
+    vnex = sorted(indices[_N] + indices[_DE])
     vedif = [(i + 1, word[i - 1]) for i in ep]
     vedif.append((pone + 1, n + 1))
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
         vnest=vnest,
-        Scval=IntMultiset(scval),
-        Scpk=IntMultiset(scpk),
-        Scda=IntMultiset(scda),
-        Scdd=IntMultiset(scdd),
+        Scval=IntMultiset(indices[_N]),
+        Scpk=IntMultiset(indices[_S]),
+        Scda=IntMultiset(indices[_E]),
+        Scdd=IntMultiset(indices[_DE]),
         Nep=IntMultiset(nep),
         Vnex=IntMultiset(vnex),
         Vnepb=IntMultiset(i for i in nep if i < pone),
@@ -890,7 +877,6 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     **{literal: _one_glue_kernel(literal) for literal in (
         "1u32", "2u31", "2u13", "3u21", "3u12",
         "u23_1", "u31_2", "u32_1", "u13_2", "u21_3", "u12_3")},
-    "des": _des,
     "dbot": _dbot,
     "ddif": _ddif,
     "exc": _exc,
@@ -965,16 +951,16 @@ MAHONIAN_TABLE: dict[str, MahonianFormula] = {
     "den": MahonianFormula((("ebot", 1, 0), ("ine", 1, 0))),
     "sor": MahonianFormula((("sor", 1, 0),)),
     "mak_p": MahonianFormula((
-        ("dbot", 1, 0), ("2u31", 1, 0), ("des", 1, -1), ("last", 1, 0)),
+        ("dbot", 1, 0), ("2u31", 1, 0), ("u21", 1, -1), ("last", 1, 0)),
         (0, -1, 1)),
     "mad_p": MahonianFormula((
         ("ddif", 1, 0), ("2u31", 1, 0), ("last", 2, 0)),
         (-1, -1, 0)),
     "makl_p": MahonianFormula((
-        ("dbot", 1, 0), ("u31_2", 1, 0), ("des", 0, -1)),
+        ("dbot", 1, 0), ("u31_2", 1, 0), ("u21", 0, -1)),
         (0, 0, 1)),
     "madl_p": MahonianFormula((
-        ("ddif", 1, 0), ("u31_2", 1, 0), ("des", -1, 0), ("last", 1, 0)),
+        ("ddif", 1, 0), ("u31_2", 1, 0), ("u21", -1, 0), ("last", 1, 0)),
         (-1, 0, 0)),
     "fz3": MahonianFormula((
         ("ebot", 1, 0), ("edif", 1, 0), ("exc", -1, 0), ("ine", -1, 0))),
@@ -1099,20 +1085,20 @@ def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
 # Shared linear-class helper
 # ---------------------------------------------------------------------------
 
-def linear_class(word: Sequence[int], p: int, left: int, right: int) -> str:
-    """Classify the letter at 1-based position p against its neighbors.
+def linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType:
+    """The linear class of the letter at 1-based position p, as a step:
+    valley N, peak S, double ascent E, double descent dE.
 
     ``left`` and ``right`` are the boundary values used beyond the ends of
     the word (e.g. 0 and n+1 for smaller-than-all / larger-than-all).
-    Returns one of "peak", "valley", "double_ascent", "double_descent".
     """
     v = word[p - 1]
     a = word[p - 2] if p > 1 else left
     b = word[p] if p < len(word) else right
     if a < v > b:
-        return "peak"
+        return _S
     if a > v < b:
-        return "valley"
+        return _N
     if a < v < b:
-        return "double_ascent"
-    return "double_descent"
+        return _E
+    return _DE

@@ -97,14 +97,14 @@ def test_conjugated_map_unknown_name():
 def test_placement_helpers_reject_bad_weights():
     # Every constructible history decodes, so the placement failures can
     # only be triggered by feeding the helpers inconsistent weights.
-    from srlaguerre.bijections import _place_left, _place_right
+    from srlaguerre.bijections import _place
 
     with pytest.raises(PlacementImpossible):
-        _place_left([1, 2], {1: 1, 2: 5}, 2)
+        _place([1, 2], {1: 1, 2: 5}, 2, False)
     with pytest.raises(PlacementImpossible):
-        _place_right([1, 2], {1: 1, 2: 5}, 2)
-    assert _place_left([1, 2], {1: 1, 2: 1}, 2) == [1, 2]
-    assert _place_left([1, 2], {1: 2, 2: 1}, 2) == [2, 1]
+        _place([1, 2], {1: 1, 2: 5}, 2, True)
+    assert _place([1, 2], {1: 1, 2: 1}, 2, False) == [1, 2]
+    assert _place([1, 2], {1: 2, 2: 1}, 2, False) == [2, 1]
 
 
 def test_decoding_errors_are_value_errors():

@@ -190,6 +190,36 @@ def test_moments(capsys):
     assert values(out) == [1, 2, 6, 24]
 
 
+def test_moments_size_is_capped(capsys):
+    # The cap is checked before any moment is computed, so an unbounded
+    # count returns at once.
+    for argv in (("--count", "1001"), ("--alpha", "2000", "--count", "10"),
+                 ("--alpha", "1000", "--count", "1"), ("--count", str(10**6))):
+        assert run_cli(capsys, "moments", *argv)[0] == 2, argv
+    code, out = run_cli(capsys, "moments", "--count", "1000", "--format", "csv")
+    assert code == 0
+    assert len(out.split(",")) == 1000
+
+
+@pytest.mark.parametrize("via", ["fv-inv", "fz-inv", "yzl-inv", "xi"])
+def test_history_maps_accept_the_empty_history(capsys, via):
+    code, out = run_cli(capsys, "map", "--via", via, "/")
+    assert code == 0
+    assert out == ("/\n" if via == "xi" else "\n")
+
+
+def test_verify_csv_quotes_counterexamples(monkeypatch, capsys):
+    from srlaguerre import claims
+
+    monkeypatch.setattr(claims, "xi", lambda h: h)
+    code, out = run_cli(capsys, "verify", "--claim", "cor3.6", "--n-max", "3",
+                        "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert rows[1][2] == "fail" and rows[1][5] == "NS/0,1: Neb: {} != {1}"
+
+
 def test_distribution_filter_readme_example(capsys):
     code, out = run_cli(capsys, "distribution", "--n", "4", "--stats", "des",
                         "--filter", "3,1,2")

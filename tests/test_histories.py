@@ -133,7 +133,7 @@ def test_statistics_on_anchor_history():
         [(2, 1), (3, 2), (4, 3), (5, 3), (6, 3), (7, 2), (8, 2), (9, 1)])
     assert g.Wt == IntMultiset.from_pairs(
         [(4, 2), (5, 1), (6, 3), (7, 2), (8, 2), (9, 1)])
-    assert g.ht == 17 and g.wt == 11
+    assert len(g.Ht) == 17 and len(g.Wt) == 11
 
 
 def test_ascent_set():

@@ -97,8 +97,10 @@ def test_five_stat_symmetry():
         for w in enumerate_histories(n):
             g = history_statistics(w)
             h = history_statistics(xi(w))
-            assert (g.ht - g.wt, g.neb, g.sdeb, g.nea, g.sdea) == (
-                h.ht - h.wt, h.sdea, h.nea, h.sdeb, h.neb)
+            assert (len(g.Ht) - len(g.Wt), len(g.Neb), len(g.Sdeb),
+                    len(g.Nea), len(g.Sdea)) == (
+                len(h.Ht) - len(h.Wt), len(h.Sdea), len(h.Nea),
+                len(h.Sdeb), len(h.Neb))
 
 
 def test_corrupted_table_is_detected():

@@ -15,11 +15,12 @@ counts one position at a time.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
 from srlaguerre import bijections, mfs_action, perm_stats
-from srlaguerre.bijections import PlacementImpossible, _place_left, _place_right
+from srlaguerre.bijections import PlacementImpossible, _place
 from srlaguerre.mfs_action import (
     coordinate_stat_zero_boundary,
     mfs_full,
@@ -426,7 +427,8 @@ def test_placement_matches_oracle_including_impossible_cases():
     for _ in range(4000):
         size = rng.randint(0, 9)
         values, weights = _random_placement_case(rng, size, rng.choice((0, 1, 2)))
-        for new, old in ((_place_left, _old_place_left), (_place_right, _old_place_right)):
+        for from_right, old in ((False, _old_place_left), (True, _old_place_right)):
+            new = partial(_place, from_right=from_right)
             got = _placement(new, values, weights, size)
             assert got == _placement(old, values, weights, size), (values, weights, size)
             impossible += isinstance(got, tuple)
@@ -441,17 +443,17 @@ def test_placement_matches_oracle_at_large_size(size):
     left = {x: rng.randint(1, size - k) for k, x in enumerate(sorted(values))}
     right = {x: rng.randint(0, size - 1 - k)
              for k, x in enumerate(sorted(values, reverse=True))}
-    assert _place_left(values, left, size) == _old_place_left(values, left, size)
-    assert _place_right(values, right, size) == _old_place_right(values, right, size)
+    assert _place(values, left, size, False) == _old_place_left(values, left, size)
+    assert _place(values, right, size, True) == _old_place_right(values, right, size)
     # One value asking for a slot that is gone by its turn.
     last = sorted(values)[-1]
     left[last] = 2
-    assert _placement(_place_left, values, left, size) == \
+    assert _placement(partial(_place, from_right=False), values, left, size) == \
         _placement(_old_place_left, values, left, size) == \
         ("PlacementImpossible", f"value {last} wants empty slot 2")
     first = sorted(values)[0]
     right[first] = 1
-    assert _placement(_place_right, values, right, size) == \
+    assert _placement(partial(_place, from_right=True), values, right, size) == \
         _placement(_old_place_right, values, right, size) == \
         ("PlacementImpossible", f"value {first} wants 1 empty slots right")
 
