@@ -6,9 +6,7 @@ from .multiset import (
     ContainmentViolation,
     IntMultiset,
     OutOfRange,
-    disjoint_union,
     kappa,
-    strict_difference,
 )
 from .histories import (
     HistoryStatRecord,

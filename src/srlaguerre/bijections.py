@@ -200,9 +200,12 @@ def phi_yzl(pi: Permutation) -> LaguerreHistory:
     except at pone (the position of the letter 1), where pi(pone) = 1
     leaves only S or dE and these become E and N.  i = n takes S unless
     pone = n, in which case E.  The weight of i is the variant nesting
-    number, plus one on S and dE steps.
+    number, plus one on S and dE steps.  The empty permutation encodes to
+    the empty history.
     """
     n = pi.n
+    if not n:
+        return _history([], [])
     pone = pi.position(1)
     steps = shifted_classes(pi)
     if pone < n:
@@ -278,11 +281,8 @@ def phi_csz(pi: Permutation) -> Permutation:
 def theta(pi: Permutation) -> Permutation:
     """The mirror map: theta_n = n+1-pi(n) and theta_i = n+1-pi(n-i)."""
     n = pi.n
-    word = [0] * n
-    word[n - 1] = n + 1 - pi.value(n)
-    for i in range(1, n):
-        word[i - 1] = n + 1 - pi.value(n - i)
-    return Permutation(word)
+    # n - i is 0 only at i = n, which reads pi(n).
+    return Permutation([n + 1 - pi.value(n - i or n) for i in range(1, n + 1)])
 
 
 def kreweras(pi: Permutation) -> Permutation:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .genfun import jacobi_moments
+from .genfun import laguerre_moments
 from .histories import (
     LaguerreHistory,
     critical_step,
@@ -500,9 +500,7 @@ def _test_yzl_factorization(n: int, pi: Permutation) -> str | None:
 
 def _moment_claim(alpha: int) -> Callable[[int, object], "str | None"]:
     def test(n: int, _: object) -> str | None:
-        moment = jacobi_moments(
-            lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), n + 1
-        )[n]
+        moment = laguerre_moments(alpha, n + 1)[n]
         expected = math.factorial(n + alpha)
         if moment != expected:
             return f"moment {moment} != {expected}"

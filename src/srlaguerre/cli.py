@@ -29,7 +29,7 @@ from .bijections import (
     theta,
 )
 from .claims import UnknownClaim, claim_ids, run_claim
-from .genfun import jacobi_moments, joint_distribution
+from .genfun import joint_distribution, laguerre_moments
 from .histories import (
     LaguerreHistory,
     PathBelowAxis,
@@ -268,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for claim_id in ids:
         for n in range(1, args.n_max + 1):
             try:
-                outcome = run_claim(claim_id, n, threads=args.threads)
+                outcome = run_claim(claim_id, n)
             except UnknownClaim as exc:
                 print(f"error: unknown claim {exc}", file=sys.stderr)
                 return EXIT_UNKNOWN_NAME
@@ -300,10 +300,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         print(f"error: count + alpha must be at most {MAX_MOMENTS_SIZE}",
               file=sys.stderr)
         return EXIT_BAD_ARGS
-    alpha = args.alpha
-    values = jacobi_moments(
-        lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), args.count
-    )
+    values = laguerre_moments(args.alpha, args.count)
     if args.format == "json":
         print(json.dumps(values))
     elif args.format == "csv":
@@ -365,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True,
                    help="a claim id or 'all'")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; sweeps run serially")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

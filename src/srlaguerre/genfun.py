@@ -63,14 +63,6 @@ class MultiPoly:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.variables != other.variables:
-            raise ValueError("variable mismatch")
-        result = MultiPoly(self.variables, self.terms)
-        for exps, coeff in other.terms.items():
-            result.add_term(exps, coeff)
-        return result
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_text()!r})"
 
@@ -257,3 +249,10 @@ def jacobi_moments(
         state = {k: v for k, v in new.items() if v}
         moments.append(state.get(0, 0))
     return moments
+
+
+def laguerre_moments(alpha: int, count: int) -> list[int]:
+    """First ``count`` moments of the Laguerre continued fraction, level
+    weights 2k + alpha + 1 and down weights k(k + alpha); the k-th is
+    (k + alpha)! / alpha!."""
+    return jacobi_moments(lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), count)

@@ -193,7 +193,7 @@ class HistoryStatRecord:
     Asc holds the indices i in [n-1] where the weights "ascend":
     c_i < c_{i+1} for an NE step i, c_i <= c_{i+1} for an SdE step i.
     Ht has h_i copies of i, Wt has c_i copies of i.  A count is the
-    cardinality of its multiset, ``len(record.Neb)``.
+    size of its multiset, ``len(record.Neb)``.
     """
 
     cs: int

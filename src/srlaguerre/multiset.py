@@ -9,7 +9,7 @@ would hide bookkeeping bugs in the identities this package verifies).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 class ContainmentViolation(ValueError):
@@ -30,9 +30,14 @@ class OutOfRange(ValueError):
 
 
 class IntMultiset:
-    """An immutable multiset of positive integers."""
+    """An immutable multiset of positive integers.
 
-    __slots__ = ("_entries", "_items", "_card")
+    The only state is ``_entries``, a value -> multiplicity dict that never
+    holds a zero multiplicity.  Comparison and hashing read the dict as it
+    is; iteration and the printed forms sort the values when called.
+    """
+
+    __slots__ = ("_entries",)
 
     def __init__(self, values: Iterable[int] = ()):
         entries: dict[int, int] = {}
@@ -47,8 +52,6 @@ class IntMultiset:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"multiplicities must be positive integers, got {m!r}")
         self._entries = entries
-        self._items = tuple(sorted(entries.items()))
-        self._card = sum(entries.values())
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "IntMultiset":
@@ -64,30 +67,18 @@ class IntMultiset:
     def _unchecked(cls, entries: dict[int, int]) -> "IntMultiset":
         ms = cls.__new__(cls)
         ms._entries = entries
-        ms._items = tuple(sorted(entries.items()))
-        ms._card = sum(entries.values())
         return ms
-
-    @property
-    def entries(self) -> Mapping[int, int]:
-        return dict(self._entries)
-
-    @property
-    def cardinality(self) -> int:
-        return self._card
 
     def multiplicity(self, value: int) -> int:
         return self._entries.get(value, 0)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self._items)
-
     def __len__(self) -> int:
-        return self._card
+        return sum(self._entries.values())
 
     def __iter__(self) -> Iterator[int]:
-        for v, m in self._items:
-            for _ in range(m):
+        entries = self._entries
+        for v in sorted(entries):
+            for _ in range(entries[v]):
                 yield v
 
     def __contains__(self, value: int) -> bool:
@@ -96,16 +87,34 @@ class IntMultiset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMultiset):
             return NotImplemented
-        return self._items == other._items
+        return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(frozenset(self._entries.items()))
 
     def __or__(self, other: "IntMultiset") -> "IntMultiset":
-        return disjoint_union(self, other)
+        """Multiset sum: multiplicities add."""
+        entries = dict(self._entries)
+        for v, m in other._entries.items():
+            entries[v] = entries.get(v, 0) + m
+        return IntMultiset._unchecked(entries)
 
     def __sub__(self, other: "IntMultiset") -> "IntMultiset":
-        return strict_difference(self, other)
+        """Multiset difference, defined only when ``other`` is contained in ``self``.
+
+        Raises ContainmentViolation on the smallest offending value.
+        """
+        entries = dict(self._entries)
+        for v in sorted(other._entries):
+            m = other._entries[v]
+            have = entries.get(v, 0)
+            if m > have:
+                raise ContainmentViolation(v)
+            if m == have:
+                del entries[v]
+            else:
+                entries[v] = have - m
+        return IntMultiset._unchecked(entries)
 
     def __repr__(self) -> str:
         return f"IntMultiset.from_text({self.to_text()!r})"
@@ -113,7 +122,7 @@ class IntMultiset:
     def to_text(self) -> str:
         """Render as ``{4^2,5,6^3}`` (sorted values, ``^`` for multiplicity > 1)."""
         parts = []
-        for v, m in self._items:
+        for v, m in sorted(self._entries.items()):
             parts.append(str(v) if m == 1 else f"{v}^{m}")
         return "{" + ",".join(parts) + "}"
 
@@ -136,37 +145,11 @@ class IntMultiset:
 
     def to_json(self) -> list[list[int]]:
         """Sorted ``[value, multiplicity]`` pairs."""
-        return [[v, m] for v, m in self._items]
+        return [[v, m] for v, m in sorted(self._entries.items())]
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "IntMultiset":
         return cls.from_pairs((int(v), int(m)) for v, m in data)
-
-
-def disjoint_union(a: IntMultiset, b: IntMultiset) -> IntMultiset:
-    """Multiset sum: multiplicities add."""
-    entries = dict(a._entries)
-    for v, m in b._entries.items():
-        entries[v] = entries.get(v, 0) + m
-    return IntMultiset._unchecked(entries)
-
-
-def strict_difference(a: IntMultiset, b: IntMultiset) -> IntMultiset:
-    """Multiset difference, defined only when ``b`` is contained in ``a``.
-
-    Raises ContainmentViolation on the smallest offending value.
-    """
-    entries = dict(a._entries)
-    for v in sorted(b._entries):
-        m = b._entries[v]
-        have = entries.get(v, 0)
-        if m > have:
-            raise ContainmentViolation(v)
-        if m == have:
-            del entries[v]
-        else:
-            entries[v] = have - m
-    return IntMultiset._unchecked(entries)
 
 
 def kappa(n: int, a: IntMultiset) -> IntMultiset:

@@ -443,7 +443,7 @@ def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
 
 def variant_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
     """vnest_i: nest_i adjusted by the position of the letter 1."""
-    return _variant_nesting(pi.word, nesting_numbers(pi), pi.position(1))
+    return _variant_nesting(pi.word, nesting_numbers(pi), pi.position(1) if pi.n else 0)
 
 
 def _variant_nesting(
@@ -484,7 +484,7 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     """The shifted-cyclic family in O(n log n), the cost of the nestings."""
     word = pi.word
     n = len(word)
-    pone = pi.position(1)
+    pone = pi.position(1) if n else 0
     nest = nesting_numbers(pi)
     vnest = _variant_nesting(word, nest, pone)
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]

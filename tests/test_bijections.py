@@ -111,3 +111,25 @@ def test_decoding_errors_are_value_errors():
     assert issubclass(SlotIndexOutOfRange, ValueError)
     assert issubclass(PlacementImpossible, ValueError)
     assert issubclass(ArcMismatch, ValueError)
+
+
+def test_every_map_accepts_the_empty_permutation():
+    from srlaguerre.cli import _PERM_MAPS
+    from srlaguerre.perm_stats import (
+        cyclic_family,
+        linear_family,
+        shifted_family,
+        variant_nesting_numbers,
+    )
+
+    empty = Permutation(())
+    empty_history = LaguerreHistory.from_text("/")
+    for via, f in _PERM_MAPS.items():
+        assert f(empty) in (empty, empty_history), via
+    assert len(linear_family(empty).Des) == 0
+    assert len(cyclic_family(empty).Exc) == 0
+    shifted = shifted_family(empty)
+    assert shifted.pone == 0 and len(shifted.Vedif) == 0
+    assert variant_nesting_numbers(empty) == ()
+    assert phi_yzl(phi_yzl_inv(empty_history)) == empty_history
+    assert phi_yzl_inv(phi_yzl(empty)) == empty

@@ -1,14 +1,26 @@
-"""Tests for the claim runner: pinned counterexample strings and threads."""
+"""Tests for the claim runner: pinned counterexample strings, threads and
+mutations of the encoders that the claims must catch."""
 from __future__ import annotations
 
+import sys
 import threading
+from itertools import combinations
 
 import pytest
 
-from srlaguerre import claims
-from srlaguerre.bijections import phi_fz
+from srlaguerre import bijections, claims, perm_stats
+from srlaguerre.bijections import (
+    phi_fv,
+    phi_fv_inv,
+    phi_fz,
+    phi_fz_inv,
+    phi_yzl,
+    phi_yzl_inv,
+)
 from srlaguerre.claims import run_claim
 from srlaguerre.cli import main
+from srlaguerre.histories import LaguerreHistory, StepType
+from srlaguerre.perm_stats import iter_perms
 
 
 def _first_failure(claim_id: str) -> tuple:
@@ -64,6 +76,65 @@ def test_threads_option_starts_no_thread(monkeypatch, capsys):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run_claim("prop4.3", 4, threads=4).status == "pass"
-    assert main(["verify", "--claim", "cor3.3", "--n-max", "4",
-                 "--threads", "4"]) == 0
+    assert main(["verify", "--claim", "cor3.3", "--n-max", "4"]) == 0
     assert "fail" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--claim", "cor3.3", "--n-max", "4", "--threads", "4"])
+    assert exc.value.code == 2
+
+
+def _patch_everywhere(monkeypatch, original, mutant) -> None:
+    """Rebind ``original`` to ``mutant`` in every srlaguerre namespace,
+    since the modules import each other's functions by name."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("srlaguerre"):
+            for name, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, name, mutant)
+
+
+def _swapping(classifier, a: StepType, b: StepType):
+    swap = {a: b, b: a}
+
+    def mutant(*args):
+        out = classifier(*args)
+        return [swap.get(s, s) for s in out] if isinstance(out, list) else swap.get(out, out)
+
+    return mutant
+
+
+def _first_catch() -> str | None:
+    """The first claim or round trip at n <= 5 that fails or raises."""
+    for n in range(1, 6):
+        for claim in ("prop4.3", "prop4.10", "prop4.17", "lem4.14"):
+            try:
+                if run_claim(claim, n).status == "fail":
+                    return f"{claim} at n={n}"
+            except ValueError as exc:
+                return f"{claim} at n={n}: {exc!r}"
+        for pi in iter_perms(n):
+            for encode, decode in ((phi_fv, phi_fv_inv), (phi_fz, phi_fz_inv),
+                                   (phi_yzl, phi_yzl_inv)):
+                try:
+                    if decode(encode(pi)) != pi:
+                        return f"{encode.__name__} round trip at {pi.to_text()}"
+                except ValueError as exc:
+                    return f"{encode.__name__} round trip at {pi.to_text()}: {exc!r}"
+    return None
+
+
+_CLASSIFIERS = (perm_stats.linear_class, perm_stats.cyclic_classes,
+                perm_stats.shifted_classes)
+_MUTANTS = [("weight rule", bijections._history,
+             lambda steps, counts: LaguerreHistory(steps, list(counts)))] + [
+    (f"{f.__name__} {a.name}<->{b.name}", f, _swapping(f, a, b))
+    for f in _CLASSIFIERS for a, b in combinations(StepType, 2)]
+
+
+# Every mutant is caught today at n <= 3, by the encoded history failing
+# LaguerreHistory's own validation (a path or weight bound) inside a claim.
+@pytest.mark.parametrize("label, original, mutant", _MUTANTS,
+                         ids=[row[0] for row in _MUTANTS])
+def test_encoder_mutants_are_caught(monkeypatch, label, original, mutant):
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert _first_catch() is not None, f"mutant survives: {label}"

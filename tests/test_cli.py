@@ -170,13 +170,16 @@ def test_verify_unknown_claim(capsys):
 
 
 def test_verify_threads_deterministic(capsys):
-    _, single = run_cli(capsys, "verify", "--claim", "cor3.3", "--n-max", "5",
-                        "--threads", "1")
-    _, multi = run_cli(capsys, "verify", "--claim", "cor3.3", "--n-max", "5",
-                       "--threads", "4")
-    strip = lambda text: [line.split(",")[0].split(" (")[0]
-                          for line in text.strip().splitlines()]
-    assert strip(single) == strip(multi)
+    # Sweeps run serially, so verify takes no --threads option; two runs
+    # print the same outcomes.
+    for threads in ("1", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--claim", "cor3.3", "--n-max", "3", "--threads", threads])
+        assert exc.value.code == 2
+    strip = lambda text: [line.split(" (")[0] for line in text.strip().splitlines()]
+    first = strip(run_cli(capsys, "verify", "--claim", "cor3.3", "--n-max", "5")[1])
+    assert first == strip(run_cli(capsys, "verify", "--claim", "cor3.3", "--n-max", "5")[1])
+    assert len(first) == 5 and "fail" not in " ".join(first)
 
 
 def test_moments(capsys):

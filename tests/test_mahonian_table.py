@@ -107,9 +107,9 @@ def _reference_ingredients(word: tuple[int, ...]) -> dict[str, int]:
     g["ine"] = len(cyc.Ine)
     sh = shifted_family(pi)
     g["pone"] = sh.pone
-    g["vbot"] = sh.Vbot.cardinality
-    g["vedif"] = sh.Vedif.cardinality
-    g["vnest"] = sh.Vnest.cardinality
+    g["vbot"] = len(sh.Vbot)
+    g["vedif"] = len(sh.Vedif)
+    g["vnest"] = len(sh.Vnest)
     g["inv"] = sum(
         1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
     )
