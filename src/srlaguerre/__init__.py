@@ -40,7 +40,6 @@ from .perm_stats import (
     avoiders,
     classical_avoids,
     coordinate_counts,
-    coordinate_stat,
     cyclic_family,
     iter_perms,
     linear_family,
@@ -56,7 +55,6 @@ from .perm_stats import (
 from .mfs_action import (
     StarredClasses,
     coordinate_counts_zero_boundary,
-    coordinate_stat_zero_boundary,
     mfs_full,
     mfs_phi_x,
     pattern_multisets_zero_boundary,
@@ -64,7 +62,6 @@ from .mfs_action import (
     x_factorization,
 )
 from .bijections import (
-    ArcMismatch,
     PlacementImpossible,
     SlotIndexOutOfRange,
     conjugated_map,

@@ -3,10 +3,11 @@
 Three encodings are provided with their inverses: the linear one driven by
 value classes and descent-based weights (phi_fv), the cyclic one driven by
 excedance classes and side numbers (phi_fz), and the shifted-cyclic one
-driven by nestings around the position of 1 (phi_yzl).  Derived maps: the
-composition phi_csz, the mirror theta, the Kreweras complement, and the
-permutation maps obtained by conjugating the path involution xi through
-each encoding.
+driven by nestings around the position of 1 (phi_yzl).  The shifted-cyclic
+decoder is the cyclic one followed by the inverse Kreweras complement,
+since phi_yzl = phi_fz o kreweras.  Derived maps: the composition phi_csz,
+the mirror theta, the Kreweras complement, and the permutation maps
+obtained by conjugating the path involution xi through each encoding.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .histories import (
     NDE_STEPS,
     NE_STEPS,
     StepType,
-    critical_step,
 )
 from .involution import xi
 from .perm_stats import (
@@ -38,10 +38,6 @@ class SlotIndexOutOfRange(ValueError):
 
 class PlacementImpossible(ValueError):
     """Column placement inversion could not place a value."""
-
-
-class ArcMismatch(ValueError):
-    """Semi-arc inversion produced an inconsistent diagram."""
 
 
 def _history(steps: list[StepType], counts: Sequence[int]) -> LaguerreHistory:
@@ -129,37 +125,22 @@ def _place(values: list[int], weights: dict[int, int], size: int,
 
     From the left, values go smallest-first and x lands in the c_x-th
     empty slot counted from the left (1-based); from the right, values go
-    largest-first and x keeps c_x empty slots to its right.  A Fenwick
-    tree over the slots, 1 for empty, finds the k-th empty slot from the
-    left by binary descent, so n placements cost O(n log n).
+    largest-first and x keeps c_x empty slots to its right.  The empty
+    slots stay in an ordered list, and each placement pops one.
     """
-    tree = [i & -i for i in range(size + 1)]
-    top = 1 << size.bit_length() >> 1
+    empties = list(range(size))
     row: list[int | None] = [None] * size
-    for placed, x in enumerate(sorted(values, reverse=from_right)):
-        empties = size - placed
+    for x in sorted(values, reverse=from_right):
+        k = weights[x]
         if from_right:
-            k = weights[x]
-            if not 0 <= k < empties:
+            if not 0 <= k < len(empties):
                 raise PlacementImpossible(f"value {x} wants {k} empty slots right")
-            k = empties - 1 - k
+            k = len(empties) - 1 - k
         else:
-            k = weights[x] - 1
-            if not 0 <= k < empties:
+            k -= 1
+            if not 0 <= k < len(empties):
                 raise PlacementImpossible(f"value {x} wants empty slot {k + 1}")
-        pos = 0
-        step = top
-        while step:
-            nxt = pos + step
-            if nxt <= size and tree[nxt] <= k:
-                pos = nxt
-                k -= tree[nxt]
-            step >>= 1
-        row[pos] = x
-        pos += 1
-        while pos <= size:
-            tree[pos] -= 1
-            pos += pos & -pos
+        row[empties.pop(k)] = x
     return [v for v in row if v is not None]
 
 
@@ -171,21 +152,21 @@ def phi_fz_inv(history: LaguerreHistory) -> Permutation:
     non-excedance word maps S/E step indices to N/E step indices placed
     largest-first with c_x empty slots to the right.
     """
-    n = history.n
-    weights = {i: history.weight(i) for i in range(1, n + 1)}
-    nde = [i for i in range(1, n + 1) if history.step(i) in NDE_STEPS]
-    sde = [i for i in range(1, n + 1) if history.step(i) not in NE_STEPS]
-    se = [i for i in range(1, n + 1) if history.step(i) not in NDE_STEPS]
-    ne = [i for i in range(1, n + 1) if history.step(i) in NE_STEPS]
+    nde: list[int] = []
+    sde: list[int] = []
+    se: list[int] = []
+    ne: list[int] = []
+    for i, step in enumerate(history.w, start=1):
+        (nde if step in NDE_STEPS else se).append(i)
+        (ne if step in NE_STEPS else sde).append(i)
     if len(nde) != len(sde) or len(se) != len(ne):
         raise PlacementImpossible("column counts disagree")
+    weights = dict(enumerate(history.c, start=1))
     exc_bottom = _place(sde, weights, len(nde), False)
     nexc_bottom = _place(ne, weights, len(se), True)
-    word = [0] * n
+    word = [0] * history.n
     for pos, val in zip(nde + se, exc_bottom + nexc_bottom):
         word[pos - 1] = val
-    if sorted(word) != list(range(1, n + 1)):
-        raise PlacementImpossible("placement did not produce a permutation")
     return Permutation(word)
 
 
@@ -215,58 +196,14 @@ def phi_yzl(pi: Permutation) -> LaguerreHistory:
 
 
 def phi_yzl_inv(history: LaguerreHistory) -> Permutation:
-    """Invert the shifted-cyclic encoding via a semi-arc diagram.
+    """Invert the shifted-cyclic encoding through the Kreweras complement.
 
-    Every node gets one outward stub (AR above for an excedance left
-    endpoint, BL below for a weak-deficiency right endpoint) and one inward
-    stub (AL above right endpoint, BR below left endpoint).  Nesting
-    numbers recovered from the weights dictate how stubs are paired.
-    The empty history decodes to the empty permutation.
+    phi_yzl = phi_fz o kreweras (claim ``thm4.23-eq36``), so the cyclic
+    decoder returns sigma = kreweras(pi), and pi(i) = sigma^{-1}(i) mod n + 1.
     """
-    n = history.n
-    if not n:
-        return Permutation(())
-    k = critical_step(history)
-
-    ar: list[int] = []
-    al: list[int] = []
-    bl: list[int] = []
-    br: list[int] = [1]
-    bl.extend({k, n})
-    for i, step in enumerate(history.w[:-1], start=1):
-        if i != k:
-            (ar if step in NE_STEPS else bl).append(i)
-        (br if step in NDE_STEPS else al).append(i + 1)
-    if len(ar) != len(al) or len(bl) != len(br):
-        raise ArcMismatch("stub counts disagree")
-
-    # nest_i is c_i less one on S and dE steps, plus one on the S and dE
-    # steps before k, less one on the N and E steps after k: c_i up to k
-    # and c_i - 1 after it.  Index 0 is padding.
-    c = history.c
-    nest = (0,) + c[:k] + tuple(x - 1 for x in c[k:])
-
-    sigma: dict[int, int] = {}
-    remaining_al = sorted(al, reverse=True)
-    for i in sorted(ar, reverse=True):
-        if not 0 <= nest[i] < len(remaining_al):
-            raise ArcMismatch(f"node {i} wants upper partner {nest[i]}")
-        j = remaining_al.pop(nest[i])
-        if j <= i:
-            raise ArcMismatch(f"upper arc {i}->{j} points backwards")
-        sigma[i] = j
-    remaining_br = sorted(br)
-    for j in sorted(bl):
-        if not 0 <= nest[j] < len(remaining_br):
-            raise ArcMismatch(f"node {j} wants lower partner {nest[j]}")
-        i = remaining_br.pop(nest[j])
-        if i > j:
-            raise ArcMismatch(f"lower arc {j}->{i} points forwards")
-        sigma[j] = i
-    word = [sigma.get(i, 0) for i in range(1, n + 1)]
-    if sorted(word) != list(range(1, n + 1)):
-        raise ArcMismatch("diagram does not read as a permutation")
-    return Permutation(word)
+    sigma = phi_fz_inv(history)
+    n = sigma.n
+    return Permutation([v % n + 1 for v in sigma.inverse_word])
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,6 @@ def coordinate_counts_zero_boundary(pi: Permutation, which: str) -> tuple[int, .
     return tuple(c + (v < last) for v, c in zip(word, counts))
 
 
-def coordinate_stat_zero_boundary(pi: Permutation, which: str, i: int) -> int:
-    """Coordinate pattern statistic at position i under the zero boundary;
-    see ``coordinate_counts_zero_boundary``."""
-    if not 1 <= i <= pi.n:
-        raise IndexError(i)
-    return coordinate_counts_zero_boundary(pi, which)[i - 1]
-
-
 def pattern_multisets_zero_boundary(
     pi: Permutation,
 ) -> tuple[IntMultiset, IntMultiset, IntMultiset]:

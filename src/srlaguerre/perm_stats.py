@@ -747,13 +747,6 @@ def coordinate_counts(pi: Permutation, which: str) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def coordinate_stat(pi: Permutation, which: str, i: int) -> int:
-    """Coordinate pattern statistic at position i; see ``coordinate_counts``."""
-    if not 1 <= i <= pi.n:
-        raise IndexError(i)
-    return coordinate_counts(pi, which)[i - 1]
-
-
 def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
     """The multisets 2-13, 2-31, 31-2: value pi(i) with its coordinate count.
 
@@ -810,7 +803,7 @@ def _ine(word: tuple[int, ...]) -> int:
 
 
 def _pone(word: tuple[int, ...]) -> int:
-    return word.index(1) + 1
+    return word.index(1) + 1 if word else 0
 
 
 def _last(word: tuple[int, ...]) -> int:
@@ -873,10 +866,9 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     "last": _last,
     "pone": _pone,
     "u21": _des,
-    "u12": _adjacent_ascents,
     **{literal: _one_glue_kernel(literal) for literal in (
         "1u32", "2u31", "2u13", "3u21", "3u12",
-        "u23_1", "u31_2", "u32_1", "u13_2", "u21_3", "u12_3")},
+        "u23_1", "u31_2", "u32_1", "u13_2", "u21_3")},
     "dbot": _dbot,
     "ddif": _ddif,
     "exc": _exc,
@@ -1001,10 +993,16 @@ MAHONIAN_NAMES: tuple[str, ...] = tuple(MAHONIAN_TABLE)
 
 
 def mahonian(pi: Permutation, stat_id: str) -> int:
-    """Evaluate a registered Mahonian statistic."""
+    """Evaluate a registered Mahonian statistic.
+
+    The table's constants are claimed for n >= 1 only.  On S_0 every
+    statistic is 0, since [0]_q! = 1.
+    """
     formula = MAHONIAN_TABLE.get(stat_id)
     if formula is None:
         raise UnknownStatistic(stat_id)
+    if not pi.n:
+        return 0
     return formula.evaluate(_ingredients(pi.word))
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 from srlaguerre.bijections import (
-    ArcMismatch,
     PlacementImpossible,
     SlotIndexOutOfRange,
     conjugated_map,
@@ -110,7 +109,6 @@ def test_placement_helpers_reject_bad_weights():
 def test_decoding_errors_are_value_errors():
     assert issubclass(SlotIndexOutOfRange, ValueError)
     assert issubclass(PlacementImpossible, ValueError)
-    assert issubclass(ArcMismatch, ValueError)
 
 
 def test_every_map_accepts_the_empty_permutation():

@@ -19,7 +19,7 @@ from srlaguerre.bijections import (
 )
 from srlaguerre.claims import run_claim
 from srlaguerre.cli import main
-from srlaguerre.histories import LaguerreHistory, StepType
+from srlaguerre.histories import NE_STEPS, LaguerreHistory, StepType
 from srlaguerre.perm_stats import iter_perms
 
 
@@ -138,3 +138,29 @@ _MUTANTS = [("weight rule", bijections._history,
 def test_encoder_mutants_are_caught(monkeypatch, label, original, mutant):
     _patch_everywhere(monkeypatch, original, mutant)
     assert _first_catch() is not None, f"mutant survives: {label}"
+
+
+def _lowering_weight(encode):
+    """``encode`` with the weight of the last N or E step of weight >= 1
+    lowered by one; N and E weights start at 0, so the history stays
+    valid."""
+    def mutant(steps, counts):
+        history = encode(steps, counts)
+        c = list(history.c)
+        for i in range(len(c) - 1, -1, -1):
+            if history.w[i] in NE_STEPS and c[i]:
+                c[i] -= 1
+                break
+        return LaguerreHistory(history.w, c)
+
+    return mutant
+
+
+# The lowered weight passes LaguerreHistory's validation, so only the claims'
+# own comparisons can notice it.
+@pytest.mark.parametrize("claim", ["prop4.3", "prop4.10", "prop4.17"])
+def test_valid_weight_mutant_fails_the_claims(monkeypatch, claim):
+    _patch_everywhere(monkeypatch, bijections._history,
+                      _lowering_weight(bijections._history))
+    statuses = [run_claim(claim, n).status for n in range(1, 6)]
+    assert "fail" in statuses, statuses

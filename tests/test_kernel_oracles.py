@@ -3,14 +3,17 @@
 Each ``_old_*`` function below is the implementation that ``src/`` held
 before the coordinate, side and nesting counts became Fenwick sweeps, the
 family multisets were built from (value, count) pairs, the column placement
-found its slot by Fenwick descent and valley hopping ran on one list.  They
-are kept verbatim, renamed with an ``_old_`` prefix, as differential
-oracles: the kernels must agree with them on all of S_n for n <= 7 and on
-seeded random permutations of size 50, 300 and 1000.  ``_old_mfs_full`` is
-the fold of the single-letter hop ``mfs_phi_x``, which is still the
-definition in ``src/``.  The last two tests check that no family builds a
-multiset from more than n items and that no encoding reads the coordinate
-counts one position at a time.
+found its slot in a list of open slots, the shifted-cyclic decoder went
+through the cyclic one and the Kreweras complement, and valley hopping ran
+on one list.  They are kept verbatim, renamed with an ``_old_`` prefix, as
+differential oracles: the kernels must agree with them on all of S_n for
+n <= 7 and on seeded random permutations of size 50, 300 and 1000, and the
+decoders on every history with n <= 7 and on random histories of size up
+to 200.  ``_old_phi_yzl_inv`` is the semi-arc construction, so it also
+witnesses the identity phi_yzl = phi_fz o kreweras from the decoding side.
+``_old_mfs_full`` is the fold of the single-letter hop ``mfs_phi_x``, which
+is still the definition in ``src/``.  The last test checks that no family
+builds a multiset from more than n items.
 """
 from __future__ import annotations
 
@@ -18,11 +21,19 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from test_large_properties import large_histories
 
-from srlaguerre import bijections, mfs_action, perm_stats
-from srlaguerre.bijections import PlacementImpossible, _place
+from srlaguerre.bijections import PlacementImpossible, _place, phi_yzl_inv
+from srlaguerre.histories import (
+    NDE_STEPS,
+    NE_STEPS,
+    LaguerreHistory,
+    critical_step,
+    enumerate_histories,
+)
 from srlaguerre.mfs_action import (
-    coordinate_stat_zero_boundary,
+    coordinate_counts_zero_boundary,
     mfs_full,
     mfs_phi_x,
     pattern_multisets_zero_boundary,
@@ -35,7 +46,6 @@ from srlaguerre.perm_stats import (
     ShiftedStatRecord,
     _variant_nesting,
     coordinate_counts,
-    coordinate_stat,
     cyclic_family,
     iter_perms,
     linear_family,
@@ -311,6 +321,65 @@ def _old_place_right(values: list[int], weights: dict[int, int], size: int) -> l
     return [v for v in row if v is not None]
 
 
+class ArcMismatch(ValueError):
+    """Semi-arc inversion produced an inconsistent diagram."""
+
+
+def _old_phi_yzl_inv(history: LaguerreHistory) -> Permutation:
+    """Invert the shifted-cyclic encoding via a semi-arc diagram.
+
+    Every node gets one outward stub (AR above for an excedance left
+    endpoint, BL below for a weak-deficiency right endpoint) and one inward
+    stub (AL above right endpoint, BR below left endpoint).  Nesting
+    numbers recovered from the weights dictate how stubs are paired.
+    The empty history decodes to the empty permutation.
+    """
+    n = history.n
+    if not n:
+        return Permutation(())
+    k = critical_step(history)
+
+    ar: list[int] = []
+    al: list[int] = []
+    bl: list[int] = []
+    br: list[int] = [1]
+    bl.extend({k, n})
+    for i, step in enumerate(history.w[:-1], start=1):
+        if i != k:
+            (ar if step in NE_STEPS else bl).append(i)
+        (br if step in NDE_STEPS else al).append(i + 1)
+    if len(ar) != len(al) or len(bl) != len(br):
+        raise ArcMismatch("stub counts disagree")
+
+    # nest_i is c_i less one on S and dE steps, plus one on the S and dE
+    # steps before k, less one on the N and E steps after k: c_i up to k
+    # and c_i - 1 after it.  Index 0 is padding.
+    c = history.c
+    nest = (0,) + c[:k] + tuple(x - 1 for x in c[k:])
+
+    sigma: dict[int, int] = {}
+    remaining_al = sorted(al, reverse=True)
+    for i in sorted(ar, reverse=True):
+        if not 0 <= nest[i] < len(remaining_al):
+            raise ArcMismatch(f"node {i} wants upper partner {nest[i]}")
+        j = remaining_al.pop(nest[i])
+        if j <= i:
+            raise ArcMismatch(f"upper arc {i}->{j} points backwards")
+        sigma[i] = j
+    remaining_br = sorted(br)
+    for j in sorted(bl):
+        if not 0 <= nest[j] < len(remaining_br):
+            raise ArcMismatch(f"node {j} wants lower partner {nest[j]}")
+        i = remaining_br.pop(nest[j])
+        if i > j:
+            raise ArcMismatch(f"lower arc {j}->{i} points forwards")
+        sigma[j] = i
+    word = [sigma.get(i, 0) for i in range(1, n + 1)]
+    if sorted(word) != list(range(1, n + 1)):
+        raise ArcMismatch("diagram does not read as a permutation")
+    return Permutation(word)
+
+
 def _old_mfs_full(pi: Permutation) -> Permutation:
     """Every letter hopped by the single-letter action, one Permutation per hop."""
     result = pi
@@ -369,9 +438,11 @@ def test_counts_match_oracles_on_small_perms():
 def test_per_position_readers_match_oracles():
     for pi in _small_perms(6):
         for which in _WHICH:
+            counts = coordinate_counts(pi, which)
+            zero_boundary = coordinate_counts_zero_boundary(pi, which)
             for i in range(1, pi.n + 1):
-                assert coordinate_stat(pi, which, i) == _old_coordinate_stat(pi, which, i)
-                assert coordinate_stat_zero_boundary(pi, which, i) == \
+                assert counts[i - 1] == _old_coordinate_stat(pi, which, i)
+                assert zero_boundary[i - 1] == \
                     _old_coordinate_stat_zero_boundary(pi, which, i)
 
 
@@ -394,15 +465,16 @@ def test_kernels_match_oracles_on_large_perms(pi):
 
 def test_coordinate_errors_unchanged():
     pi = Permutation.from_text("2413")
-    for fn in (coordinate_stat, _old_coordinate_stat):
-        with pytest.raises(IndexError):
-            fn(pi, "2-31", 0)
-        with pytest.raises(IndexError):
-            fn(pi, "bogus", 5)
-        with pytest.raises(ValueError, match="unknown coordinate statistic"):
-            fn(pi, "bogus", 1)
+    with pytest.raises(IndexError):
+        _old_coordinate_stat(pi, "2-31", 0)
+    with pytest.raises(IndexError):
+        _old_coordinate_stat(pi, "bogus", 5)
     with pytest.raises(ValueError, match="unknown coordinate statistic"):
-        coordinate_counts(pi, "2-21")
+        _old_coordinate_stat(pi, "bogus", 1)
+    for fn in (coordinate_counts, coordinate_counts_zero_boundary):
+        for which in ("bogus", "2-21"):
+            with pytest.raises(ValueError, match="unknown coordinate statistic"):
+                fn(pi, which)
 
 
 def _placement(place, values, weights, size):
@@ -458,6 +530,20 @@ def test_placement_matches_oracle_at_large_size(size):
         ("PlacementImpossible", f"value {first} wants 1 empty slots right")
 
 
+def test_yzl_decoder_matches_semi_arc_oracle_on_small_histories():
+    assert phi_yzl_inv(LaguerreHistory.from_text("/")) == Permutation(())
+    assert _old_phi_yzl_inv(LaguerreHistory.from_text("/")) == Permutation(())
+    for n in range(1, 8):
+        for h in enumerate_histories(n):
+            assert phi_yzl_inv(h) == _old_phi_yzl_inv(h), h.to_text()
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_histories())
+def test_yzl_decoder_matches_semi_arc_oracle_on_large_histories(h):
+    assert phi_yzl_inv(h) == _old_phi_yzl_inv(h)
+
+
 # ---------------------------------------------------------------------------
 # No quadratic intermediates
 # ---------------------------------------------------------------------------
@@ -502,18 +588,3 @@ def test_no_multiset_consumes_more_than_n_items(kernel, monkeypatch):
     assert meter.sizes, "no IntMultiset was built"
     assert max(meter.sizes) <= n
 
-
-def test_phi_fv_and_pattern_multisets_make_no_per_position_calls(monkeypatch):
-    calls = []
-
-    def counting(pi, which, i):
-        calls.append((which, i))
-        return perm_stats.coordinate_counts(pi, which)[i - 1]
-
-    for module in (perm_stats, bijections, mfs_action):
-        monkeypatch.setattr(module, "coordinate_stat", counting, raising=False)
-    pi = _random_perms(300, 1, 4107)[0]
-    bijections.phi_fv(pi)
-    perm_stats.pattern_multisets(pi)
-    mfs_action.pattern_multisets_zero_boundary(pi)
-    assert calls == []

@@ -36,6 +36,10 @@ _REGISTRY_PATTERNS = (
 )
 
 
+_TABLE_INGREDIENTS = {
+    name for formula in MAHONIAN_TABLE.values() for name, _, _ in formula.terms}
+
+
 def _stratum_count(letters, rank: int, lo: int, hi: int) -> int:
     """Count letters that could play pattern rank ``rank`` against {lo, hi}."""
     if rank == 1:
@@ -229,8 +233,9 @@ def test_table_matches_reference(n: int) -> None:
 def test_kernels_match_family_cardinalities(n: int) -> None:
     for word in _sample(n):
         g = _reference_ingredients(word)
-        # The registry counts |Des| under its pattern name u21.
-        assert set(_KERNELS) == set(g) - {"des"}
+        # The registry counts |Des| under its pattern name u21, and has a
+        # kernel for exactly the ingredients the table reads, plus n.
+        assert set(_KERNELS) == _TABLE_INGREDIENTS | {"n"}
         assert _KERNELS["u21"](word) == g["des"], f"|Des| disagrees on {word}"
         for name, kernel in _KERNELS.items():
             assert kernel(word) == g[name], f"{name} disagrees on {word}"

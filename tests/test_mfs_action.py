@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from srlaguerre.multiset import IntMultiset
 from srlaguerre.mfs_action import (
+    coordinate_counts_zero_boundary,
     coordinate_stat_by_extrema,
-    coordinate_stat_zero_boundary,
     mfs_full,
     mfs_phi_x,
     pattern_multisets_zero_boundary,
@@ -92,9 +92,9 @@ def test_zero_boundary_coordinates_match_extrema_oracle():
     for n in range(1, 6):
         for pi in iter_perms(n):
             for which in ("2-13", "2-31", "31-2"):
+                counts = coordinate_counts_zero_boundary(pi, which)
                 for i in range(1, n + 1):
-                    assert coordinate_stat_zero_boundary(pi, which, i) == \
-                        coordinate_stat_by_extrema(pi, which, i)
+                    assert counts[i - 1] == coordinate_stat_by_extrema(pi, which, i)
 
 
 def test_zero_boundary_multisets_anchor():

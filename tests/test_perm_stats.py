@@ -18,7 +18,7 @@ from srlaguerre.perm_stats import (
     UnknownStatistic,
     avoiders,
     classical_avoids,
-    coordinate_stat,
+    coordinate_counts,
     cyclic_family,
     iter_perms,
     linear_family,
@@ -195,13 +195,9 @@ def test_vincular_syntax_errors():
 
 def test_coordinate_stats_sum_to_pattern_count():
     for pi in iter_perms(5):
-        n = pi.n
-        assert sum(coordinate_stat(pi, "2-31", i) for i in range(1, n + 1)) \
-            == vincular_count(pi, "2u31")
-        assert sum(coordinate_stat(pi, "2-13", i) for i in range(1, n + 1)) \
-            == vincular_count(pi, "2u13")
-        assert sum(coordinate_stat(pi, "31-2", i) for i in range(1, n + 1)) \
-            == vincular_count(pi, "u31_2")
+        assert sum(coordinate_counts(pi, "2-31")) == vincular_count(pi, "2u31")
+        assert sum(coordinate_counts(pi, "2-13")) == vincular_count(pi, "2u13")
+        assert sum(coordinate_counts(pi, "31-2")) == vincular_count(pi, "u31_2")
 
 
 def test_avoiders_catalan_counts():
@@ -225,6 +221,14 @@ def test_all_registry_statistics_are_mahonian():
         for name in MAHONIAN_NAMES:
             got = Counter(mahonian(pi, name) for pi in iter_perms(n))
             assert got == expected, name
+
+
+def test_registry_statistics_vanish_on_the_empty_permutation():
+    # [0]_q! = 1: the one permutation of S_0 has every Mahonian statistic 0.
+    empty = Permutation(())
+    for name in MAHONIAN_NAMES:
+        assert mahonian(empty, name) == 0, name
+    assert statistic("pone")(empty) == 0
 
 
 def test_unknown_statistic():
