@@ -59,7 +59,7 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
     peak, double ascent, or double descent of the word, with boundary
     values smaller than all (left) and larger than all (right).  The weight
     of i is its 2-31 coordinate count, plus one on S and dE steps.  One
-    O(n log n) sweep gives every count.
+    ``coordinate_counts`` sweep gives every count.
     """
     word = pi.word
     right = pi.n + 1
@@ -80,15 +80,13 @@ def phi_fv_inv(history: LaguerreHistory) -> Permutation:
     The one leftover slot at the far right is erased.
     """
     word: list[int | None] = [None]
-    for i in range(1, history.n + 1):
+    for i, (step, c) in enumerate(zip(history.w, history.c), start=1):
         empties = [p for p, v in enumerate(word) if v is None]
-        c = history.weight(i)
         if c >= len(empties):
             raise SlotIndexOutOfRange(
                 f"step {i} wants empty slot {c} of {len(empties)}"
             )
         p = empties[len(empties) - 1 - c]
-        step = history.step(i)
         if step is StepType.S:
             word[p:p + 1] = [i]
         elif step is StepType.N:

@@ -137,10 +137,7 @@ class LaguerreHistory:
         if "/" not in text:
             raise ValueError(f"malformed history literal (missing '/'): {text!r}")
         word_part, _, weight_part = text.partition("/")
-        try:
-            w = tuple(_BY_LETTER[ch] for ch in word_part)
-        except KeyError as exc:
-            raise ValueError(f"unknown step letter {exc.args[0]!r}") from None
+        w = _parse_steps(word_part)
         c = tuple(int(x) for x in weight_part.split(",")) if weight_part else ()
         return cls(w, c)
 
@@ -153,8 +150,15 @@ class LaguerreHistory:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaguerreHistory":
-        w = tuple(_BY_LETTER[ch] for ch in data["w"])
-        return cls(w, tuple(int(x) for x in data["c"]))
+        return cls(_parse_steps(data["w"]), tuple(int(x) for x in data["c"]))
+
+
+def _parse_steps(letters: Iterable[str]) -> tuple[StepType, ...]:
+    """Step letters (N, E, D, S) as steps; any other letter is a ValueError."""
+    try:
+        return tuple(_BY_LETTER[ch] for ch in letters)
+    except KeyError as exc:
+        raise ValueError(f"unknown step letter {exc.args[0]!r}") from None
 
 
 def _heights(w: tuple[StepType, ...]) -> tuple[int, ...]:

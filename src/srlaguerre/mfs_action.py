@@ -6,7 +6,7 @@ descents under that boundary) live here next to the action that uses them.
 
 Costs: ``mfs_phi_x`` is O(n); ``mfs_full`` hops all n letters on one list,
 O(n) list work per hop and one validation at the end; the zero-boundary
-coordinate counts are one O(n log n) sweep per statistic; the extrema
+coordinate counts are one ``coordinate_counts`` sweep per statistic; the extrema
 recount ``coordinate_stat_by_extrema`` is O(n) per position, as an oracle.
 """
 
@@ -106,7 +106,7 @@ def coordinate_counts_zero_boundary(pi: Permutation, which: str) -> tuple[int, .
     so the final pair (pi(n), 0) is always a descent.  Only ``2-31`` is
     affected: position i < n gains one occurrence when pi(i) < pi(n).  The
     ``2-13`` and ``31-2`` counts coincide with the plain ones, since the
-    virtual pairs can never serve them.  One O(n log n) sweep.
+    virtual pairs can never serve them.  One ``coordinate_counts`` sweep.
     """
     counts = coordinate_counts(pi, which)
     if which != "2-31" or not counts:
@@ -121,7 +121,7 @@ def pattern_multisets_zero_boundary(
 ) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
     """The three coordinate multisets under the zero boundary.
 
-    Three O(n log n) sweeps; each multiset is built from at most n
+    Three ``coordinate_counts`` sweeps; each multiset is built from at most n
     (value, count) pairs.
     """
     multisets = []

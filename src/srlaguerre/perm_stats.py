@@ -10,14 +10,22 @@ The registry is a formula table, ``MAHONIAN_TABLE``: each statistic is an
 integer combination of ingredients (vincular pattern counts and family
 cardinalities) plus a closed-form term in n, in the manner of
 Babson and Steingrimsson's pattern-sum statistics.  Each ingredient has its
-own kernel on the one-line word, which builds no family record; the
-inversion-type ones use a Fenwick tree and run in O(n log n).  All
+own kernel on the one-line word, which builds no family record.  All
 ingredients of a word are computed together and cached per word.
 
-Costs for a permutation of size n: the coordinate counts
-(``coordinate_counts``), the side numbers and the nesting numbers are one
-Fenwick sweep each, O(n log n); the linear family is O(n) and the cyclic
-and shifted families O(n log n).  No family multiset is expanded: each is
+The inversion-type counts (the coordinate counts, side numbers, nesting
+numbers, inversions and one-glue pattern counts) are each one sweep that
+keeps the letters seen so far in a sorted list: ``bisect`` counts the
+letters below a value and ``insort`` adds one.  A sweep makes O(n log n)
+comparisons plus n list insertions, whose element moves are O(n^2) in the
+worst case but done in C by memmove.  Measured on one 2-vCPU Xeon with
+Python 3.11, this is no slower than a Fenwick tree up to n = 3,000 on
+random and monotone words, and slower on monotone words from about
+n = 10,000, where a sweep may insert every letter at the front of its list.
+
+Costs for a permutation of size n: the linear family is O(n), and the
+cyclic and shifted families cost one sweep each, for the side numbers and
+the nesting numbers.  No family multiset is expanded: each is
 built from at most n (value, multiplicity) pairs, and the range unions
 (Ddif, Edif, Vedif) are counted by a difference array.  The generic
 vincular counter, kept for patterns of other shapes and for classical
@@ -26,6 +34,7 @@ avoidance, is O(n^k) for a pattern of length k.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, permutations as _permutations
@@ -287,47 +296,30 @@ class CyclicStatRecord:
 
 
 def side_numbers(pi: Permutation) -> tuple[int, ...]:
-    """Side number of each position, in O(n log n).
+    """Side number of each position, in one sorted-list sweep per subword.
 
     An excedance value gets the number of larger letters to its left inside
     the excedance subword; a non-excedance value gets the number of smaller
     letters to its right inside the non-excedance subword.  Each subword is
-    swept once with a Fenwick tree over the letters seen so far, as in
-    ``_inversions``: the excedances left to right, the non-excedances right
-    to left.
+    swept once over a sorted list of the letters seen so far, the
+    excedances left to right, the non-excedances right to left: O(n log n)
+    comparisons plus insertions whose moves are O(n^2) in the worst case,
+    done in C.
     """
     word = pi.word
     n = len(word)
     side = [0] * n
-    tree = [0] * (n + 1)
-    seen = 0
+    seen: list[int] = []
     for p, v in enumerate(word):
         if v > p + 1:
-            below = 0
-            k = v
-            while k:
-                below += tree[k]
-                k &= k - 1
-            side[p] = seen - below
-            seen += 1
-            k = v
-            while k <= n:
-                tree[k] += 1
-                k += k & -k
-    tree = [0] * (n + 1)
+            side[p] = len(seen) - bisect_left(seen, v)
+            insort(seen, v)
+    seen = []
     for p in range(n - 1, -1, -1):
         v = word[p]
         if v <= p + 1:
-            below = 0
-            k = v
-            while k:
-                below += tree[k]
-                k &= k - 1
-            side[p] = below
-            k = v
-            while k <= n:
-                tree[k] += 1
-                k += k & -k
+            side[p] = bisect_left(seen, v)
+            insort(seen, v)
     return tuple(side)
 
 
@@ -352,7 +344,7 @@ def cyclic_classes(pi: Permutation) -> list[StepType]:
 
 
 def cyclic_family(pi: Permutation) -> CyclicStatRecord:
-    """The cyclic family in O(n log n), the cost of the side numbers."""
+    """The cyclic family, at the cost of the side numbers."""
     word = pi.word
     n = len(word)
     last = word[-1] if n else 0
@@ -413,31 +405,22 @@ class ShiftedStatRecord:
 
 
 def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
-    """nest_i: nestings with i as the inner endpoint, in O(n log n).
+    """nest_i: nestings with i as the inner endpoint.
 
     An excedance i counts the larger letters to its left.  A non-excedance
     i counts the smaller letters to its right: of the v - 1 letters below
     v = pi(i), those to the left number i - 1 less the larger letters to
-    the left, which leaves v - i plus them.  One Fenwick sweep over the
-    letters seen so far, as in ``_inversions``, counts the larger letters
-    to the left of every i.
+    the left, which leaves v - i plus them.  One sweep over a sorted list
+    of the letters seen so far counts the larger letters to the left of
+    every i: O(n log n) comparisons plus insertions whose moves are O(n^2)
+    in the worst case, done in C.
     """
-    word = pi.word
-    n = len(word)
-    tree = [0] * (n + 1)
+    seen: list[int] = []
     nest = []
-    for i, v in enumerate(word, start=1):
-        below = 0
-        k = v
-        while k:
-            below += tree[k]
-            k &= k - 1
-        larger = i - 1 - below
+    for i, v in enumerate(pi.word, start=1):
+        larger = i - 1 - bisect_left(seen, v)
         nest.append(larger if v > i else v - i + larger)
-        k = v
-        while k <= n:
-            tree[k] += 1
-            k += k & -k
+        insort(seen, v)
     return tuple(nest)
 
 
@@ -481,7 +464,7 @@ def shifted_classes(pi: Permutation) -> list[StepType]:
 
 
 def shifted_family(pi: Permutation) -> ShiftedStatRecord:
-    """The shifted-cyclic family in O(n log n), the cost of the nestings."""
+    """The shifted-cyclic family, at the cost of the nestings."""
     word = pi.word
     n = len(word)
     pone = pi.position(1) if n else 0
@@ -571,21 +554,15 @@ def parse_vincular(literal: str) -> VincularPattern:
     return VincularPattern(tuple(values), frozenset(glued))
 
 
-def _inversions(letters: Sequence[int], size: int) -> int:
-    """Inversions of a sequence of distinct letters from 1..size, by a
-    Fenwick tree over the letters seen so far, in O(n log n)."""
-    tree = [0] * (size + 1)
+def _inversions(letters: Sequence[int]) -> int:
+    """Inversions of a sequence of distinct letters, by one sweep over a
+    sorted list of the letters seen so far: O(n log n) comparisons plus
+    insertions whose moves are O(n^2) in the worst case, done in C."""
+    seen: list[int] = []
     total = 0
-    for seen, v in enumerate(letters):
-        i = v
-        while i:
-            total -= tree[i]
-            i &= i - 1
-        total += seen
-        i = v
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
+    for v in letters:
+        total += len(seen) - bisect_left(seen, v)
+        insort(seen, v)
     return total
 
 
@@ -598,49 +575,35 @@ def _adjacent_ascents(word: tuple[int, ...]) -> int:
 
 
 def _count3_one_glue(word: tuple[int, ...], values: tuple[int, ...], glue: int) -> int:
-    """Length-3 pattern with a single glued pair, in O(n log n).
+    """Length-3 pattern with a single glued pair.
 
     The glued pair sits at host positions j, j+1.  The free letter is
     counted among the letters before j (pattern glued at 2) or after j+1
-    (glued at 1) by its rank against the pair, with a Fenwick tree over the
-    letters before j: the letters of a rank after the pair are all letters
-    of that rank less those before it.
+    (glued at 1) by its rank against the pair, by bisecting a sorted list
+    of the letters before j: the letters of a rank after the pair are all
+    letters of that rank less those before it.  O(n log n) comparisons plus
+    insertions whose moves are O(n^2) in the worst case, done in C.
     """
     a, b, c = values
     rising = b < c if glue == 2 else a < b
     rank = a if glue == 2 else c
     after = glue == 1
     n = len(word)
-    tree = [0] * (n + 1)
+    seen: list[int] = []
     total = 0
     for j in range(n - 1):
         x, y = word[j], word[j + 1]
         if (x < y) == rising:
             lo, hi = (x, y) if x < y else (y, x)
-            # Letters before j below lo and below hi; the Fenwick queries
-            # are inlined, as this loop is the Mahonian registry's hot spot.
-            below_lo = below_hi = 0
-            if rank != 3:
-                i = lo - 1
-                while i:
-                    below_lo += tree[i]
-                    i &= i - 1
-            if rank != 1:
-                i = hi - 1
-                while i:
-                    below_hi += tree[i]
-                    i &= i - 1
             if rank == 1:
-                before, of_rank = below_lo, lo - 1
+                before, of_rank = bisect_left(seen, lo), lo - 1
             elif rank == 2:
-                before, of_rank = below_hi - below_lo, hi - lo - 1
+                before = bisect_left(seen, hi) - bisect_left(seen, lo)
+                of_rank = hi - lo - 1
             else:
-                before, of_rank = j - below_hi, n - hi
+                before, of_rank = j - bisect_left(seen, hi), n - hi
             total += of_rank - before if after else before
-        i = x
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
+        insort(seen, x)
     return total
 
 
@@ -687,7 +650,7 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
     if k == 2:
         if 1 in glued:
             return _des(word) if values == (2, 1) else _adjacent_ascents(word)
-        inversions = _inversions(word, n)
+        inversions = _inversions(word)
         return inversions if values == (2, 1) else n * (n - 1) // 2 - inversions
     if k == 3 and len(glued) == 1:
         return _count3_one_glue(word, values, next(iter(glued)))
@@ -703,19 +666,22 @@ _COORDINATES = {
 
 
 def coordinate_counts(pi: Permutation, which: str) -> tuple[int, ...]:
-    """The coordinate statistic ``which`` at every position, in O(n log n).
+    """The coordinate statistic ``which`` at every position.
 
     ``2-13`` counts j with i < j < n and pi(j) < pi(i) < pi(j+1);
     ``2-31`` counts j with i < j < n and pi(j+1) < pi(i) < pi(j);
     ``31-2`` counts j with j < i-1 and pi(j+1) < pi(i) < pi(j).
 
-    One Fenwick sweep over the values: each adjacent pair that can serve
-    (an ascent for ``2-13``, a descent otherwise) adds one to every value
-    strictly between its letters, and a letter reads its count as a point
-    query.  ``2-13`` and ``2-31`` sweep right to left, ``31-2`` left to
-    right, and the pair (p, p+1) is added right after position p is
-    queried.  A pair never counts at its own letters, since neither lies
-    strictly between the two, so the sweeps need no other exclusion.
+    One sweep over the positions keeps the serving adjacent pairs seen so
+    far (ascents for ``2-13``, descents otherwise) as two sorted lists, one
+    of their low letters and one of their high letters.  A value v lies
+    strictly between the letters of bisect_left(los, v) - bisect_right(his,
+    v) of them, since every pair with its high letter below or at v also
+    has its low letter below v.  ``2-13`` and ``2-31`` sweep right to left,
+    ``31-2`` left to right, and the pair (p, p+1) is added right after
+    position p is counted.  A pair counts 0 at its own letters, so the
+    sweeps need no other exclusion.  O(n log n) comparisons plus insertions
+    whose moves are O(n^2) in the worst case, done in C.
     """
     try:
         rising, from_right = _COORDINATES[which]
@@ -723,34 +689,25 @@ def coordinate_counts(pi: Permutation, which: str) -> tuple[int, ...]:
         raise ValueError(f"unknown coordinate statistic: {which!r}") from None
     word = pi.word
     n = len(word)
-    tree = [0] * (n + 1)
+    los: list[int] = []
+    his: list[int] = []
     counts = [0] * n
     for p in (range(n - 1, -1, -1) if from_right else range(n)):
-        c = 0
-        k = word[p]
-        while k:
-            c += tree[k]
-            k &= k - 1
-        counts[p] = c
+        v = word[p]
+        counts[p] = bisect_left(los, v) - bisect_right(his, v)
         if p < n - 1:
-            a, b = word[p], word[p + 1]
-            if (a < b) == rising:
-                lo, hi = (a, b) if a < b else (b, a)
-                k = lo + 1
-                while k <= n:
-                    tree[k] += 1
-                    k += k & -k
-                k = hi
-                while k <= n:
-                    tree[k] -= 1
-                    k += k & -k
+            b = word[p + 1]
+            if (v < b) == rising:
+                lo, hi = (v, b) if v < b else (b, v)
+                insort(los, lo)
+                insort(his, hi)
     return tuple(counts)
 
 
 def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
     """The multisets 2-13, 2-31, 31-2: value pi(i) with its coordinate count.
 
-    Three O(n log n) sweeps; each multiset is built from at most n
+    Three sorted-list sweeps; each multiset is built from at most n
     (value, count) pairs.
     """
     m13, m31, m312 = (
@@ -799,7 +756,7 @@ def _ine(word: tuple[int, ...]) -> int:
     subword plus those inside the non-excedance subword."""
     exc = [v for i, v in enumerate(word, start=1) if v > i]
     nexc = [v for i, v in enumerate(word, start=1) if v <= i]
-    return _inversions(exc, len(word)) + _inversions(nexc, len(word))
+    return _inversions(exc) + _inversions(nexc)
 
 
 def _pone(word: tuple[int, ...]) -> int:
@@ -833,17 +790,13 @@ def _vnest(word: tuple[int, ...]) -> int:
     to the left make inv.  vnest_i then moves nest_i by one around pone.
     """
     pone = _pone(word)
-    total = _inversions(word, len(word))
+    total = _inversions(word)
     for i, v in enumerate(word, start=1):
         if v <= i:
             total += v - i - (i < pone)
         elif i > pone:
             total += 1
     return total
-
-
-def _inv(word: tuple[int, ...]) -> int:
-    return _inversions(word, len(word))
 
 
 def _sorting_index(word: tuple[int, ...]) -> int:
@@ -878,7 +831,7 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     "vbot": _vbot,
     "vedif": _vedif,
     "vnest": _vnest,
-    "inv": _inv,
+    "inv": _inversions,
     "sor": _sorting_index,
 }
 

@@ -92,6 +92,13 @@ def test_json_round_trip():
         assert LaguerreHistory.from_json(w.to_json()) == w
 
 
+def test_text_and_json_reject_unknown_step_letters_alike():
+    for parse, data in ((LaguerreHistory.from_text, "Q/0"),
+                        (LaguerreHistory.from_json, {"w": ["Q"], "c": [0]})):
+        with pytest.raises(ValueError, match="unknown step letter 'Q'"):
+            parse(data)
+
+
 def test_enumeration_matches_brute_force():
     for n in range(0, 6):
         got = {(w.w, w.c) for w in enumerate_histories(n)}

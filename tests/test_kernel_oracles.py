@@ -407,9 +407,13 @@ _LARGE = [
     *_random_perms(50, 20, 4101),
     *_random_perms(300, 3, 4102),
     *_random_perms(1000, 1, 4103),
-    # Monotone and near-monotone words give the longest ranges and blocks.
+    # Monotone and near-monotone words give the longest ranges and blocks,
+    # and put every sorted-list insertion at one end of its list.
+    Permutation(range(1, 301)),
     Permutation(range(300, 0, -1)),
     Permutation([*range(2, 301), 1]),
+    Permutation(range(1, 1001)),
+    Permutation(range(1000, 0, -1)),
 ]
 
 

@@ -210,10 +210,14 @@ def _random_words(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def _sample(n: int) -> list[tuple[int, ...]]:
-    """All of S_n up to n = 7, seeded random words beyond."""
+    """All of S_n up to n = 7, seeded random words beyond, and at n = 300
+    also the two monotone words."""
     if n <= 7:
         return [pi.word for pi in iter_perms(n)]
-    return _random_words(n, {50: 20, 300: 3}[n], seed=n)
+    words = _random_words(n, {50: 20, 300: 3}[n], seed=n)
+    if n == 300:
+        words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+    return words
 
 
 SIZES = (1, 2, 3, 4, 5, 6, 7, 50, 300)
