@@ -25,11 +25,16 @@ from .perm_stats import (
     Permutation,
     coordinate_counts,
     cyclic_classes,
+    in_order,
     linear_class,
     shifted_classes,
     side_numbers,
     variant_nesting_numbers,
 )
+
+# Enum members bound once: reading them off the class costs an attribute
+# lookup on every step of the decoder loop.
+_N, _E, _S = StepType.N, StepType.E, StepType.S
 
 
 class SlotIndexOutOfRange(ValueError):
@@ -72,32 +77,38 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
 
 
 def phi_fv_inv(history: LaguerreHistory) -> Permutation:
-    """Invert the linear encoding by slot insertion.
+    """Invert the linear encoding by slot insertion into a binary tree.
 
-    Starting from a single empty slot, letter i replaces the c_i-th empty
-    slot counted from the right starting at 0: an S step inserts ``i``, an
-    N step ``slot i slot``, an E step ``i slot``, a dE step ``slot i``.
-    The one leftover slot at the far right is erased.
+    Starting from a single empty slot, letter i fills the c_i-th empty slot
+    counted from the right starting at 0, as a child of the letter that
+    owns the slot; an N step gives i two empty child slots, E a right one,
+    dE a left one, S none.  The open slots stay in an ordered list of ids
+    ``2 * owner + side`` (side 1 on the right; the first slot hangs off a
+    virtual root 0), and each step replaces one entry by C-level list
+    moves.  The word is the tree read in order, O(n); the one leftover slot
+    must be the right child of its last letter.
     """
-    word: list[int | None] = [None]
+    child = [0] * (2 * history.n + 2)
+    slots = [1]
     for i, (step, c) in enumerate(zip(history.w, history.c), start=1):
-        empties = [p for p, v in enumerate(word) if v is None]
-        if c >= len(empties):
+        if not 0 <= c < len(slots):
             raise SlotIndexOutOfRange(
-                f"step {i} wants empty slot {c} of {len(empties)}"
+                f"step {i} wants empty slot {c} of {len(slots)}"
             )
-        p = empties[len(empties) - 1 - c]
-        if step is StepType.S:
-            word[p:p + 1] = [i]
-        elif step is StepType.N:
-            word[p:p + 1] = [None, i, None]
-        elif step is StepType.E:
-            word[p:p + 1] = [i, None]
+        k = len(slots) - 1 - c
+        child[slots[k]] = i
+        if step is _S:
+            del slots[k]
+        elif step is _N:
+            slots[k:k + 1] = (2 * i, 2 * i + 1)
+        elif step is _E:
+            slots[k] = 2 * i + 1
         else:
-            word[p:p + 1] = [None, i]
-    if word[-1] is not None or any(v is None for v in word[:-1]):
+            slots[k] = 2 * i
+    word = in_order(child[::2], child[1::2], child[1])
+    if slots != [2 * (word[-1] if word else 0) + 1]:
         raise SlotIndexOutOfRange("leftover slot is not the trailing one")
-    return Permutation(word[:-1])
+    return Permutation(word)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,11 @@ class LaguerreHistory:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaguerreHistory":
-        return cls(_parse_steps(data["w"]), tuple(int(x) for x in data["c"]))
+        try:
+            w, c = data["w"], data["c"]
+        except KeyError as exc:
+            raise ValueError(f"history JSON lacks key {exc.args[0]!r}") from None
+        return cls(_parse_steps(w), tuple(int(x) for x in c))
 
 
 def _parse_steps(letters: Iterable[str]) -> tuple[StepType, ...]:

@@ -4,9 +4,10 @@ All letter classifications here use the zero boundary pi(0) = pi(n+1) = 0.
 The starred linear statistics (peaks, valleys, double ascents, double
 descents under that boundary) live here next to the action that uses them.
 
-Costs: ``mfs_phi_x`` is O(n); ``mfs_full`` hops all n letters on one list,
-O(n) list work per hop and one validation at the end; the zero-boundary
-coordinate counts are one ``coordinate_counts`` sweep per statistic; the extrema
+Costs: ``mfs_phi_x`` is O(n); ``mfs_full`` hops all n letters at once on
+the min-rooted Cartesian tree of the word, O(n) to build, flip and read in
+order, plus one validation of the image; the zero-boundary coordinate
+counts are one ``coordinate_counts`` sweep per statistic; the extrema
 recount ``coordinate_stat_by_extrema`` is O(n) per position, as an oracle.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .histories import StepType
 from .multiset import IntMultiset
-from .perm_stats import Permutation, coordinate_counts, linear_class
+from .perm_stats import Permutation, coordinate_counts, in_order, linear_class
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -78,25 +79,29 @@ def mfs_phi_x(pi: Permutation, x: int) -> Permutation:
 def mfs_full(pi: Permutation) -> Permutation:
     """The involution that hops every letter that can hop.
 
-    Applies the single-letter action of ``mfs_phi_x`` for every x in [n];
-    the single-letter actions commute, so the order of application does not
-    matter.  The hops run on one list, each in O(n), and the result is
-    validated as a permutation once.
+    The single-letter actions of ``mfs_phi_x`` commute.  A hop of x swaps
+    the blocks w2 and w3 of its x-factorization, which are the subtrees of
+    x in the min-rooted Cartesian tree of the word (one stack pass, O(n)).
+    Valleys are the nodes with two children and stay put; every other node
+    swaps its children, and the image is the tree read in order, O(n).
     """
-    word = list(pi.word)
+    word = pi.word
     n = len(word)
-    for x in range(1, n + 1):
-        p = word.index(x)
-        if 0 < p < n - 1 and word[p - 1] > x < word[p + 1]:
-            continue  # a valley stays
-        lo = p
-        while lo > 0 and word[lo - 1] > x:
-            lo -= 1
-        hi = p + 1
-        while hi < n and word[hi] > x:
-            hi += 1
-        word[lo:hi] = word[p + 1:hi] + [x] + word[lo:p]
-    return Permutation(word)
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    stack: list[int] = []
+    for v in word:
+        below = 0
+        while stack and stack[-1] > v:
+            below = stack.pop()
+        left[v] = below
+        if stack:
+            right[stack[-1]] = v
+        stack.append(v)
+    for v in range(1, n + 1):
+        if not (left[v] and right[v]):
+            left[v], right[v] = right[v], left[v]
+    return Permutation(in_order(left, right, stack[0] if stack else 0))
 
 
 def coordinate_counts_zero_boundary(pi: Permutation, which: str) -> tuple[int, ...]:

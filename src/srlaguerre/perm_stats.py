@@ -1033,7 +1033,7 @@ def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# Shared linear-class helper
+# Helpers shared with the encodings and valley hopping
 # ---------------------------------------------------------------------------
 
 def linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType:
@@ -1053,3 +1053,22 @@ def linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType
     if a < v < b:
         return _E
     return _DE
+
+
+def in_order(left: Sequence[int], right: Sequence[int], root: int) -> list[int]:
+    """The values of a binary tree read in order, from ``root`` (0 for the
+    empty tree); ``left[v]`` and ``right[v]`` are the children of v, 0 for
+    none.  O(n) with an explicit stack.
+    """
+    out: list[int] = []
+    stack: list[int] = []
+    v = root
+    while True:
+        while v:
+            stack.append(v)
+            v = left[v]
+        if not stack:
+            return out
+        v = stack.pop()
+        out.append(v)
+        v = right[v]

@@ -17,7 +17,7 @@ from srlaguerre.bijections import (
     phi_yzl_inv,
     theta,
 )
-from srlaguerre.histories import LaguerreHistory, critical_step
+from srlaguerre.histories import LaguerreHistory, StepType, critical_step
 from srlaguerre.involution import xi
 from srlaguerre.perm_stats import Permutation, iter_perms, trivial_bijection
 
@@ -104,6 +104,24 @@ def test_placement_helpers_reject_bad_weights():
         _place([1, 2], {1: 1, 2: 5}, 2, True)
     assert _place([1, 2], {1: 1, 2: 1}, 2, False) == [1, 2]
     assert _place([1, 2], {1: 2, 2: 1}, 2, False) == [2, 1]
+
+
+_N, _S = StepType.N, StepType.S
+
+
+@pytest.mark.parametrize("w,h,c,message", [
+    # Step 2 is at height 1, so two slots are open: weights 0 and 1 only.
+    ((_N, _S), (0, 1), (0, 2), "step 2 wants empty slot 2 of 2"),
+    ((_N, _S), (0, 1), (0, -1), "step 2 wants empty slot -1 of 2"),
+    # The path never comes down, so two slots are left over.
+    ((_N,), (0,), (0,), "leftover slot is not the trailing one"),
+], ids=("weight-too-large", "weight-negative", "unbalanced"))
+def test_fv_decoder_rejects_malformed_histories(w, h, c, message):
+    # Built unchecked, past the validation of LaguerreHistory(w, c).
+    history = LaguerreHistory._unchecked(w, h, c)
+    with pytest.raises(SlotIndexOutOfRange) as info:
+        phi_fv_inv(history)
+    assert str(info.value) == message
 
 
 def test_decoding_errors_are_value_errors():

@@ -99,6 +99,12 @@ def test_text_and_json_reject_unknown_step_letters_alike():
             parse(data)
 
 
+def test_from_json_names_a_missing_key():
+    for data, key in (({"w": ["E"]}, "c"), ({"c": [0]}, "w")):
+        with pytest.raises(ValueError, match=f"history JSON lacks key '{key}'"):
+            LaguerreHistory.from_json(data)
+
+
 def test_enumeration_matches_brute_force():
     for n in range(0, 6):
         got = {(w.w, w.c) for w in enumerate_histories(n)}

@@ -4,31 +4,43 @@ Each ``_old_*`` function below is the implementation that ``src/`` held
 before the coordinate, side and nesting counts became Fenwick sweeps, the
 family multisets were built from (value, count) pairs, the column placement
 found its slot in a list of open slots, the shifted-cyclic decoder went
-through the cyclic one and the Kreweras complement, and valley hopping ran
-on one list.  They are kept verbatim, renamed with an ``_old_`` prefix, as
-differential oracles: the kernels must agree with them on all of S_n for
-n <= 7 and on seeded random permutations of size 50, 300 and 1000, and the
-decoders on every history with n <= 7 and on random histories of size up
-to 200.  ``_old_phi_yzl_inv`` is the semi-arc construction, so it also
-witnesses the identity phi_yzl = phi_fz o kreweras from the decoding side.
-``_old_mfs_full`` is the fold of the single-letter hop ``mfs_phi_x``, which
-is still the definition in ``src/``.  The last test checks that no family
-builds a multiset from more than n items.
+through the cyclic one and the Kreweras complement, and the linear decoder
+and valley hopping became a pass over a binary tree.  They are kept
+verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
+kernels must agree with them on all of S_n for n <= 7 and on seeded random
+permutations of size 50, 300 and 1000, the tree kernels also on monotone
+words of size 3000, and the decoders on every history with n <= 7 and on
+random histories of size up to 200.  ``_old_phi_fv_inv`` rescans the word
+for empty slots at every letter, and ``_old_mfs_full_list`` hops one letter
+at a time on a list.  ``_old_phi_yzl_inv`` is the semi-arc construction, so
+it also witnesses the identity phi_yzl = phi_fz o kreweras from the
+decoding side.  ``_old_mfs_full`` is the fold of the single-letter hop
+``mfs_phi_x``, which is still the definition in ``src/``.  The last test
+checks that no family builds a multiset from more than n items.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from test_large_properties import large_histories
 
-from srlaguerre.bijections import PlacementImpossible, _place, phi_yzl_inv
+from srlaguerre.bijections import (
+    PlacementImpossible,
+    SlotIndexOutOfRange,
+    _place,
+    phi_fv,
+    phi_fv_inv,
+    phi_yzl_inv,
+)
 from srlaguerre.histories import (
     NDE_STEPS,
     NE_STEPS,
     LaguerreHistory,
+    StepType,
     critical_step,
     enumerate_histories,
 )
@@ -388,6 +400,59 @@ def _old_mfs_full(pi: Permutation) -> Permutation:
     return result
 
 
+def _old_mfs_full_list(pi: Permutation) -> Permutation:
+    """The involution that hops every letter that can hop.
+
+    Applies the single-letter action of ``mfs_phi_x`` for every x in [n];
+    the single-letter actions commute, so the order of application does not
+    matter.  The hops run on one list, each in O(n), and the result is
+    validated as a permutation once.
+    """
+    word = list(pi.word)
+    n = len(word)
+    for x in range(1, n + 1):
+        p = word.index(x)
+        if 0 < p < n - 1 and word[p - 1] > x < word[p + 1]:
+            continue  # a valley stays
+        lo = p
+        while lo > 0 and word[lo - 1] > x:
+            lo -= 1
+        hi = p + 1
+        while hi < n and word[hi] > x:
+            hi += 1
+        word[lo:hi] = word[p + 1:hi] + [x] + word[lo:p]
+    return Permutation(word)
+
+
+def _old_phi_fv_inv(history: LaguerreHistory) -> Permutation:
+    """Invert the linear encoding by slot insertion.
+
+    Starting from a single empty slot, letter i replaces the c_i-th empty
+    slot counted from the right starting at 0: an S step inserts ``i``, an
+    N step ``slot i slot``, an E step ``i slot``, a dE step ``slot i``.
+    The one leftover slot at the far right is erased.
+    """
+    word: list[int | None] = [None]
+    for i, (step, c) in enumerate(zip(history.w, history.c), start=1):
+        empties = [p for p, v in enumerate(word) if v is None]
+        if c >= len(empties):
+            raise SlotIndexOutOfRange(
+                f"step {i} wants empty slot {c} of {len(empties)}"
+            )
+        p = empties[len(empties) - 1 - c]
+        if step is StepType.S:
+            word[p:p + 1] = [i]
+        elif step is StepType.N:
+            word[p:p + 1] = [None, i, None]
+        elif step is StepType.E:
+            word[p:p + 1] = [i, None]
+        else:
+            word[p:p + 1] = [None, i]
+    if word[-1] is not None or any(v is None for v in word[:-1]):
+        raise SlotIndexOutOfRange("leftover slot is not the trailing one")
+    return Permutation(word[:-1])
+
+
 def _random_perms(n: int, count: int, seed: int) -> list[Permutation]:
     rng = random.Random(seed)
     words = []
@@ -457,7 +522,13 @@ def test_families_match_oracles_on_small_perms():
 
 def test_mfs_full_matches_fold_of_single_hops_on_small_perms():
     for pi in _small_perms():
-        assert mfs_full(pi) == _old_mfs_full(pi), pi
+        assert mfs_full(pi) == _old_mfs_full(pi) == _old_mfs_full_list(pi), pi
+
+
+def _check_tree_kernels(pi: Permutation) -> None:
+    assert mfs_full(pi) == _old_mfs_full_list(pi), pi
+    h = phi_fv(pi)
+    assert phi_fv_inv(h) == _old_phi_fv_inv(h) == pi, pi
 
 
 @pytest.mark.parametrize("pi", _LARGE, ids=lambda pi: f"n{pi.n}-{hash(pi.word) % 1000}")
@@ -465,6 +536,18 @@ def test_kernels_match_oracles_on_large_perms(pi):
     _check_counts(pi)
     _check_families(pi)
     assert mfs_full(pi) == _old_mfs_full(pi)
+    _check_tree_kernels(pi)
+
+
+@pytest.mark.parametrize("pi", [
+    Permutation(range(1, 3001)),
+    Permutation(range(3000, 0, -1)),
+    Permutation([*range(2, 3001), 1]),
+], ids=("increasing", "decreasing", "rotated"))
+def test_tree_kernels_match_list_oracles_on_monotone_perms(pi):
+    # The longest one-child chains: every node of the Cartesian tree and of
+    # the slot-insertion tree has at most one child.
+    _check_tree_kernels(pi)
 
 
 def test_coordinate_errors_unchanged():
@@ -546,6 +629,50 @@ def test_yzl_decoder_matches_semi_arc_oracle_on_small_histories():
 @given(large_histories())
 def test_yzl_decoder_matches_semi_arc_oracle_on_large_histories(h):
     assert phi_yzl_inv(h) == _old_phi_yzl_inv(h)
+
+
+def test_fv_decoder_matches_slot_rescan_oracle_on_small_histories():
+    empty = LaguerreHistory.from_text("/")
+    assert phi_fv_inv(empty) == _old_phi_fv_inv(empty) == Permutation(())
+    for n in range(1, 8):
+        for h in enumerate_histories(n):
+            assert phi_fv_inv(h) == _old_phi_fv_inv(h), h.to_text()
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_histories())
+def test_fv_decoder_matches_slot_rescan_oracle_on_large_histories(h):
+    assert phi_fv_inv(h) == _old_phi_fv_inv(h)
+
+
+def _decoded(decode, history):
+    try:
+        return decode(history)
+    except SlotIndexOutOfRange as exc:
+        return ("SlotIndexOutOfRange", str(exc))
+
+
+def test_fv_decoder_fails_like_oracle_on_malformed_histories():
+    # Any step word, open or below the axis, with weights from 0 up to two
+    # past the height; the oracle lets a negative weight escape as an
+    # IndexError, so negative weights are pinned in test_bijections only.
+    rng = random.Random(4107)
+    steps = tuple(StepType)
+    outcomes = Counter()
+    for _ in range(4000):
+        w = tuple(rng.choice(steps) for _ in range(rng.randint(0, 8)))
+        h = []
+        height = 0
+        for step in w:
+            h.append(height)
+            height += step.rise
+        c = tuple(rng.randint(0, max(0, x) + 2) for x in h)
+        history = LaguerreHistory._unchecked(w, tuple(h), c)
+        got = _decoded(phi_fv_inv, history)
+        assert got == _decoded(_old_phi_fv_inv, history), history.to_text()
+        outcomes[got[1].split()[0] if isinstance(got, tuple) else "decoded"] += 1
+    # Weight too large, leftover slots misplaced, and decoded: 3354/174/472.
+    assert min(outcomes["step"], outcomes["leftover"], outcomes["decoded"]) > 100
 
 
 # ---------------------------------------------------------------------------
