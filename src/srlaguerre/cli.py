@@ -14,7 +14,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .bijections import (
     conjugated_map,
@@ -59,6 +59,10 @@ EXIT_PARSE = 3
 EXIT_INVARIANT = 4
 EXIT_UNKNOWN_NAME = 5
 
+# Input that parses but breaks a structural invariant of its object.
+_INVARIANT_ERRORS = (NotAPermutation, PathBelowAxis, PathNotClosed,
+                     WeightOutOfBounds)
+
 DEFAULT_MAX_N = 10
 # The last moment is at most (count + alpha)!, which has 2,568 digits at
 # 1000: within Python's 4,300-digit limit on int-to-str conversion.
@@ -84,10 +88,20 @@ def _max_n() -> int:
                     f"LAGUERRE_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _parse_perm(text: str) -> Permutation:
+def _check_size(name: str, value: int) -> None:
+    limit = _max_n()
+    if not 1 <= value <= limit:
+        raise _Exit(EXIT_BAD_ARGS, f"{name} must be in 1..{limit}")
+
+
+_T = TypeVar("_T")
+
+
+def _parse(parse: Callable[[str], _T], text: str) -> _T:
+    """``parse(text)``: an invariant violation exits 4, any other ValueError 3."""
     try:
-        return Permutation.from_text(text)
-    except NotAPermutation as exc:
+        return parse(text)
+    except _INVARIANT_ERRORS as exc:
         raise _Exit(EXIT_INVARIANT, str(exc)) from None
     except ValueError as exc:
         raise _Exit(EXIT_PARSE, str(exc)) from None
@@ -113,9 +127,7 @@ def _history_text(h: LaguerreHistory, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= _max_n():
-        print(f"error: n must be in 1..{_max_n()}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+    _check_size("n", args.n)
     count = 0
     if args.kind == "perms":
         for pi in iter_perms(args.n):
@@ -162,17 +174,9 @@ _HISTORY_MAPS = {
 def cmd_map(args: argparse.Namespace) -> int:
     via = args.via
     if via in _PERM_MAPS:
-        image = _PERM_MAPS[via](_parse_perm(args.input))
+        image = _PERM_MAPS[via](_parse(Permutation.from_text, args.input))
     else:
-        try:
-            history = LaguerreHistory.from_text(args.input)
-        except (PathBelowAxis, PathNotClosed, WeightOutOfBounds) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        image = _HISTORY_MAPS[via](history)
+        image = _HISTORY_MAPS[via](_parse(LaguerreHistory.from_text, args.input))
     if isinstance(image, Permutation):
         print(_perm_text(image, args.format))
     else:
@@ -180,33 +184,32 @@ def cmd_map(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _record_json(record) -> dict:
-    data = {}
+def _record_fields(record, multiset: Callable, sequence: Callable):
+    """(name, value) per field, multisets and tuples rendered by the given
+    functions."""
     for field in dataclasses.fields(record):
         value = getattr(record, field.name)
         if isinstance(value, IntMultiset):
-            data[field.name] = value.to_json()
+            value = multiset(value)
         elif isinstance(value, tuple):
-            data[field.name] = list(value)
-        else:
-            data[field.name] = value
-    return data
+            value = sequence(value)
+        yield field.name, value
+
+
+def _record_json(record) -> dict:
+    return dict(_record_fields(record, IntMultiset.to_json, list))
 
 
 def _record_csv_rows(family: str, record):
     """One (family, field, value) row per field: multisets in their text
     form, tuples comma-joined."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if isinstance(value, IntMultiset):
-            value = value.to_text()
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        yield family, field.name, value
+    for name, value in _record_fields(record, IntMultiset.to_text,
+                                      lambda t: ",".join(map(str, t))):
+        yield family, name, value
 
 
 def cmd_stat(args: argparse.Namespace) -> int:
-    pi = _parse_perm(args.perm)
+    pi = _parse(Permutation.from_text, args.perm)
     if args.stat == "all":
         records = {
             "linear": linear_family(pi),
@@ -221,12 +224,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
             print(json.dumps({family: _record_json(record)
                               for family, record in records.items()}))
         return EXIT_OK
-    try:
-        fn = statistic(args.stat)
-    except UnknownStatistic as exc:
-        print(f"error: unknown statistic {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    value = fn(pi)
+    value = statistic(args.stat)(pi)
     if args.format == "json":
         print(json.dumps({"stat": args.stat, "value": value}))
     elif args.format == "csv":
@@ -237,16 +235,10 @@ def cmd_stat(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= _max_n():
-        print(f"error: n must be in 1..{_max_n()}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+    _check_size("n", args.n)
     stats = [s for s in args.stats.split(",") if s] if args.stats else []
-    pattern = _parse_perm(args.filter).word if args.filter else None
-    try:
-        poly = joint_distribution(args.n, stats, pattern)
-    except UnknownStatistic as exc:
-        print(f"error: unknown statistic {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
+    pattern = _parse(Permutation.from_text, args.filter).word if args.filter else None
+    poly = joint_distribution(args.n, stats, pattern)
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     elif args.format == "csv":
@@ -260,18 +252,12 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ids = claim_ids() if args.claim == "all" else (args.claim,)
-    if not 1 <= args.n_max <= _max_n():
-        print(f"error: n-max must be in 1..{_max_n()}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+    _check_size("n-max", args.n_max)
     failed = False
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for claim_id in ids:
         for n in range(1, args.n_max + 1):
-            try:
-                outcome = run_claim(claim_id, n)
-            except UnknownClaim as exc:
-                print(f"error: unknown claim {exc}", file=sys.stderr)
-                return EXIT_UNKNOWN_NAME
+            outcome = run_claim(claim_id, n)
             if args.format == "json":
                 print(json.dumps(outcome.to_json()))
             elif args.format == "csv":
@@ -293,13 +279,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     if args.count < 1 or args.alpha < 0:
-        print("error: count must be positive and alpha nonnegative",
-              file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise _Exit(EXIT_BAD_ARGS,
+                    "count must be positive and alpha nonnegative")
     if args.count + args.alpha > MAX_MOMENTS_SIZE:
-        print(f"error: count + alpha must be at most {MAX_MOMENTS_SIZE}",
-              file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise _Exit(EXIT_BAD_ARGS,
+                    f"count + alpha must be at most {MAX_MOMENTS_SIZE}")
     values = laguerre_moments(args.alpha, args.count)
     if args.format == "json":
         print(json.dumps(values))
@@ -382,6 +366,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (UnknownStatistic, UnknownClaim) as exc:
+        kind = "statistic" if isinstance(exc, UnknownStatistic) else "claim"
+        print(f"error: unknown {kind} {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_NAME
 
 
 if __name__ == "__main__":

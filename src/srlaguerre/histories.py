@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterable, Iterator
 
-from .multiset import IntMultiset
+from .multiset import IntMultiset, as_ints
 
 
 class StepType(IntEnum):
@@ -78,7 +78,7 @@ class LaguerreHistory:
 
     def __init__(self, w: Iterable[StepType], c: Iterable[int]):
         w = tuple(StepType(s) for s in w)
-        c = tuple(c)
+        c = as_ints(c, "history weights")
         self.w = w
         self.h = _heights(w)
         self.c = c
@@ -154,7 +154,7 @@ class LaguerreHistory:
             w, c = data["w"], data["c"]
         except KeyError as exc:
             raise ValueError(f"history JSON lacks key {exc.args[0]!r}") from None
-        return cls(_parse_steps(w), tuple(int(x) for x in c))
+        return cls(_parse_steps(w), c)
 
 
 def _parse_steps(letters: Iterable[str]) -> tuple[StepType, ...]:

@@ -7,8 +7,11 @@ descents under that boundary) live here next to the action that uses them.
 Costs: ``mfs_phi_x`` is O(n); ``mfs_full`` hops all n letters at once on
 the min-rooted Cartesian tree of the word, O(n) to build, flip and read in
 order, plus one validation of the image; the zero-boundary coordinate
-counts are one ``coordinate_counts`` sweep per statistic; the extrema
-recount ``coordinate_stat_by_extrema`` is O(n) per position, as an oracle.
+counts are one ``coordinate_counts`` sweep per statistic, and the three
+zero-boundary multisets are built from those counts by ``_with_counts``,
+three sweeps in all, from which valley hopping also reads the plain 2-13
+and 31-2 multisets; the extrema recount ``coordinate_stat_by_extrema`` is
+O(n) per position, as an oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 from .histories import StepType
 from .multiset import IntMultiset
-from .perm_stats import Permutation, coordinate_counts, in_order, linear_class
+from .perm_stats import (_COORDINATES, Permutation, _with_counts,
+                         coordinate_counts, in_order, linear_class)
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -124,16 +128,18 @@ def coordinate_counts_zero_boundary(pi: Permutation, which: str) -> tuple[int, .
 def pattern_multisets_zero_boundary(
     pi: Permutation,
 ) -> tuple[IntMultiset, IntMultiset, IntMultiset]:
-    """The three coordinate multisets under the zero boundary.
+    """The multisets 2-13, 2-31, 31-2 under the zero boundary: value pi(i)
+    with its zero-boundary coordinate count.
 
     Three ``coordinate_counts`` sweeps; each multiset is built from at most n
-    (value, count) pairs.
+    (value, count) pairs.  The 2-13 and 31-2 multisets equal those of
+    ``pattern_multisets``.
     """
-    multisets = []
-    for which in ("2-13", "2-31", "31-2"):
-        counts = coordinate_counts_zero_boundary(pi, which)
-        multisets.append(IntMultiset.from_pairs((v, m) for v, m in zip(pi.word, counts) if m))
-    return multisets[0], multisets[1], multisets[2]
+    m13, m31, m312 = (
+        _with_counts(pi.word, coordinate_counts_zero_boundary(pi, which))
+        for which in _COORDINATES
+    )
+    return m13, m31, m312
 
 
 def _extrema_sequence(pi: Permutation) -> list[tuple[int, int, StepType]]:

@@ -9,7 +9,20 @@ would hide bookkeeping bugs in the identities this package verifies).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
+
+
+def as_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """The values as exact integers: ``operator.index`` rejects the floats
+    and strings that ``int()`` would truncate or parse."""
+    ints = []
+    for v in values:
+        try:
+            ints.append(index(v))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {v!r}") from None
+    return tuple(ints)
 
 
 class ContainmentViolation(ValueError):
@@ -149,7 +162,7 @@ class IntMultiset:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "IntMultiset":
-        return cls.from_pairs((int(v), int(m)) for v, m in data)
+        return cls.from_pairs(as_ints(pair, "multiset JSON entries") for pair in data)
 
 
 def kappa(n: int, a: IntMultiset) -> IntMultiset:

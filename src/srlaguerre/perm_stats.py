@@ -9,9 +9,12 @@ registry of 35 Mahonian statistics.
 The registry is a formula table, ``MAHONIAN_TABLE``: each statistic is an
 integer combination of ingredients (vincular pattern counts and family
 cardinalities) plus a closed-form term in n, in the manner of
-Babson and Steingrimsson's pattern-sum statistics.  Each ingredient has its
-own kernel on the one-line word, which builds no family record.  All
-ingredients of a word are computed together and cached per word.
+Babson and Steingrimsson's pattern-sum statistics.  Each ingredient is a
+kernel on the one-line word that builds no family record.  |Ine| and
+|Vnest| are the sums of the side numbers and of the variant nesting
+numbers, from the same word-level sweeps the families read, so each of
+these numbers has one definition.  All ingredients of a word are computed
+together and cached per word.
 
 The inversion-type counts (the coordinate counts, side numbers, nesting
 numbers, inversions and one-glue pattern counts) are each one sweep that
@@ -38,6 +41,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, permutations as _permutations
+from operator import index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .histories import StepType
@@ -74,7 +78,11 @@ class Permutation:
     __slots__ = ("word", "_inverse")
 
     def __init__(self, word: Iterable[int]):
-        w = tuple(int(v) for v in word)
+        word = tuple(word)
+        try:
+            w = tuple(map(index, word))
+        except TypeError:
+            raise NotAPermutation(word) from None
         if sorted(w) != list(range(1, len(w) + 1)):
             raise NotAPermutation(w)
         self.word = w
@@ -239,7 +247,7 @@ def linear_family(pi: Permutation) -> LinearStatRecord:
     """The linear family in O(n): no multiset holds more than n entries."""
     word = pi.word
     n = len(word)
-    last = word[-1] if n else 0
+    last = _last(word)
     des_pos: list[int] = []
     asc_bottoms: list[int] = []
     for i in range(1, n):
@@ -296,6 +304,11 @@ class CyclicStatRecord:
 
 
 def side_numbers(pi: Permutation) -> tuple[int, ...]:
+    """Side number of each position; see ``_side_numbers``."""
+    return _side_numbers(pi.word)
+
+
+def _side_numbers(word: tuple[int, ...]) -> tuple[int, ...]:
     """Side number of each position, in one sorted-list sweep per subword.
 
     An excedance value gets the number of larger letters to its left inside
@@ -306,7 +319,6 @@ def side_numbers(pi: Permutation) -> tuple[int, ...]:
     comparisons plus insertions whose moves are O(n^2) in the worst case,
     done in C.
     """
-    word = pi.word
     n = len(word)
     side = [0] * n
     seen: list[int] = []
@@ -347,7 +359,7 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     """The cyclic family, at the cost of the side numbers."""
     word = pi.word
     n = len(word)
-    last = word[-1] if n else 0
+    last = _last(word)
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
     exc = [word[i - 1] for i in ep]
     nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
@@ -405,6 +417,11 @@ class ShiftedStatRecord:
 
 
 def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
+    """nest_i for each position; see ``_nesting_numbers``."""
+    return _nesting_numbers(pi.word)
+
+
+def _nesting_numbers(word: tuple[int, ...]) -> tuple[int, ...]:
     """nest_i: nestings with i as the inner endpoint.
 
     An excedance i counts the larger letters to its left.  A non-excedance
@@ -417,7 +434,7 @@ def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
     """
     seen: list[int] = []
     nest = []
-    for i, v in enumerate(pi.word, start=1):
+    for i, v in enumerate(word, start=1):
         larger = i - 1 - bisect_left(seen, v)
         nest.append(larger if v > i else v - i + larger)
         insort(seen, v)
@@ -426,21 +443,21 @@ def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
 
 def variant_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
     """vnest_i: nest_i adjusted by the position of the letter 1."""
-    return _variant_nesting(pi.word, nesting_numbers(pi), pi.position(1) if pi.n else 0)
+    return _variant_nesting(pi.word, nesting_numbers(pi), _pone(pi.word))
 
 
 def _variant_nesting(
     word: tuple[int, ...], nest: tuple[int, ...], pone: int
 ) -> tuple[int, ...]:
-    vnest = []
-    for i in range(1, len(word) + 1):
-        v = word[i - 1]
-        value = nest[i - 1]
-        if v <= i and i < pone:
-            value -= 1
-        elif v > i and i > pone:
-            value += 1
-        vnest.append(value)
+    """nest_i less one for a non-excedance i before pone, and plus one for
+    an excedance i after pone."""
+    vnest = list(nest)
+    for i in range(1, pone):
+        if word[i - 1] <= i:
+            vnest[i - 1] -= 1
+    for i in range(pone + 1, len(word) + 1):
+        if word[i - 1] > i:
+            vnest[i - 1] += 1
     return tuple(vnest)
 
 
@@ -467,7 +484,7 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     """The shifted-cyclic family, at the cost of the nestings."""
     word = pi.word
     n = len(word)
-    pone = pi.position(1) if n else 0
+    pone = _pone(word)
     nest = nesting_numbers(pi)
     vnest = _variant_nesting(word, nest, pone)
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
@@ -570,10 +587,6 @@ def _des(word: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
-def _adjacent_ascents(word: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(word, word[1:]) if a < b)
-
-
 def _count3_one_glue(word: tuple[int, ...], values: tuple[int, ...], glue: int) -> int:
     """Length-3 pattern with a single glued pair.
 
@@ -649,7 +662,8 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
         return n
     if k == 2:
         if 1 in glued:
-            return _des(word) if values == (2, 1) else _adjacent_ascents(word)
+            des = _des(word)
+            return des if values == (2, 1) else max(n - 1, 0) - des
         inversions = _inversions(word)
         return inversions if values == (2, 1) else n * (n - 1) // 2 - inversions
     if k == 3 and len(glued) == 1:
@@ -751,14 +765,6 @@ def _edif(word: tuple[int, ...]) -> int:
     return sum(v - i for i, v in enumerate(word, start=1) if v > i)
 
 
-def _ine(word: tuple[int, ...]) -> int:
-    """|Ine|, the sum of side numbers: the inversions inside the excedance
-    subword plus those inside the non-excedance subword."""
-    exc = [v for i, v in enumerate(word, start=1) if v > i]
-    nexc = [v for i, v in enumerate(word, start=1) if v <= i]
-    return _inversions(exc) + _inversions(nexc)
-
-
 def _pone(word: tuple[int, ...]) -> int:
     return word.index(1) + 1 if word else 0
 
@@ -779,24 +785,6 @@ def _vedif(word: tuple[int, ...]) -> int:
     after the position of 1."""
     rises = sum(v - i - 1 for i, v in enumerate(word, start=1) if v > i)
     return rises + len(word) - _pone(word)
-
-
-def _vnest(word: tuple[int, ...]) -> int:
-    """|Vnest|, the sum of variant nesting numbers.
-
-    nest_i counts the larger letters left of an excedance i, and the
-    smaller letters right of a non-excedance i, of which there are
-    v - i plus the larger letters to its left.  Summed, the larger letters
-    to the left make inv.  vnest_i then moves nest_i by one around pone.
-    """
-    pone = _pone(word)
-    total = _inversions(word)
-    for i, v in enumerate(word, start=1):
-        if v <= i:
-            total += v - i - (i < pone)
-        elif i > pone:
-            total += 1
-    return total
 
 
 def _sorting_index(word: tuple[int, ...]) -> int:
@@ -827,10 +815,11 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     "exc": _exc,
     "ebot": _ebot,
     "edif": _edif,
-    "ine": _ine,
+    "ine": lambda word: sum(_side_numbers(word)),
     "vbot": _vbot,
     "vedif": _vedif,
-    "vnest": _vnest,
+    "vnest": lambda word: sum(
+        _variant_nesting(word, _nesting_numbers(word), _pone(word))),
     "inv": _inversions,
     "sor": _sorting_index,
 }
@@ -992,11 +981,7 @@ def statistic(name: str) -> Callable[[Permutation], int]:
 
 def classical_avoids(pi: Permutation, pattern: Sequence[int]) -> bool:
     """True iff pi has no classical occurrence of the pattern."""
-    pat = tuple(int(v) for v in pattern)
-    k = len(pat)
-    if sorted(pat) != list(range(1, k + 1)):
-        raise NotAPermutation(pat)
-    return _count_generic(pi.word, pat, frozenset()) == 0
+    return _count_generic(pi.word, Permutation(pattern).word, frozenset()) == 0
 
 
 def _gen_312_avoiding(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -1018,7 +1003,7 @@ def _gen_312_avoiding(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
     """All permutations of [n] avoiding the classical pattern."""
-    pat = tuple(int(v) for v in pattern)
+    pat = Permutation(pattern).word
     values = tuple(range(1, n + 1))
     if pat == (3, 1, 2):
         for word in _gen_312_avoiding(values):

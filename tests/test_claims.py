@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from bisect import bisect_left, insort
 from itertools import combinations
 
 import pytest
@@ -164,3 +165,70 @@ def test_valid_weight_mutant_fails_the_claims(monkeypatch, claim):
                       _lowering_weight(bijections._history))
     statuses = [run_claim(claim, n).status for n in range(1, 6)]
     assert "fail" in statuses, statuses
+
+
+def _variant_nesting_without_decrement(word, nest, pone):
+    """``perm_stats._variant_nesting`` with its ``i < pone`` rule dropped."""
+    vnest = list(nest)
+    for i in range(pone + 1, len(word) + 1):
+        if word[i - 1] > i:
+            vnest[i - 1] += 1
+    return tuple(vnest)
+
+
+def _variant_nesting_without_increment(word, nest, pone):
+    """``perm_stats._variant_nesting`` with its ``i > pone`` rule dropped."""
+    vnest = list(nest)
+    for i in range(1, pone):
+        if word[i - 1] <= i:
+            vnest[i - 1] -= 1
+    return tuple(vnest)
+
+
+def _side_numbers_of_excedances_only(word):
+    """``perm_stats._side_numbers`` without its right-to-left sweep, so
+    every non-excedance gets side number 0."""
+    side = [0] * len(word)
+    seen: list[int] = []
+    for p, v in enumerate(word):
+        if v > p + 1:
+            side[p] = len(seen) - bisect_left(seen, v)
+            insort(seen, v)
+    return tuple(side)
+
+
+# The shared sweeps feed the families, the encodings and the Mahonian
+# ingredients together; each mutant must fail a claim through its comparison
+# (first failure at n <= 5, no exception).
+SWEEP_MUTANTS = [
+    ("_variant_nesting", _variant_nesting_without_decrement, {
+        "eq34": (3, "3,2,1: yzl1 != den_p of reverse-complement-inverse"),
+        "tab2-mahonian": (3, "yzl1 is not Mahonian at n=3"),
+    }),
+    ("_variant_nesting", _variant_nesting_without_increment, {
+        "eq34": (3, "1,3,2: yzl1 != den_p of reverse-complement-inverse"),
+        "tab2-mahonian": (3, "yzl1 is not Mahonian at n=3"),
+    }),
+    ("_side_numbers", _side_numbers_of_excedances_only, {
+        "eq34": (3, "3,2,1: yzl1 != den_p of reverse-complement-inverse"),
+        "tab3-mahonian": (3, "den is not Mahonian at n=3"),
+    }),
+]
+
+
+@pytest.fixture
+def fresh_ingredients():
+    """An empty Mahonian ingredient cache before and after the test, so no
+    value computed by a mutant outlives it."""
+    perm_stats._ingredients.cache_clear()
+    yield
+    perm_stats._ingredients.cache_clear()
+
+
+@pytest.mark.parametrize("name, mutant, expected", SWEEP_MUTANTS,
+                         ids=[row[1].__name__.lstrip("_") for row in SWEEP_MUTANTS])
+def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
+                                              name, mutant, expected):
+    monkeypatch.setattr(perm_stats, name, mutant)
+    got = {claim: _first_failure(claim)[1::2] for claim in expected}
+    assert got == expected

@@ -250,5 +250,55 @@ def test_max_n_env_not_an_integer(capsys, monkeypatch):
     code = main(["enumerate", "--n", "3", "--kind", "perms"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""
-    assert "LAGUERRE_MAX_N" in captured.err
+    assert (captured.out, captured.err) == (
+        "", "error: LAGUERRE_MAX_N must be an integer, got 'abc'\n")
+
+
+# Every error exit of the CLI, with the one line it prints on stderr.
+ERROR_EXITS = [
+    (["enumerate", "--n", "0"], 2, "n must be in 1..10"),
+    (["enumerate", "--n", "11", "--kind", "histories"], 2, "n must be in 1..10"),
+    (["distribution", "--n", "0", "--stats", "des"], 2, "n must be in 1..10"),
+    (["distribution", "--n", "11"], 2, "n must be in 1..10"),
+    (["verify", "--claim", "cor3.3", "--n-max", "0"], 2, "n-max must be in 1..10"),
+    (["verify", "--claim", "all", "--n-max", "11"], 2, "n-max must be in 1..10"),
+    (["moments", "--count", "0"], 2,
+     "count must be positive and alpha nonnegative"),
+    (["moments", "--alpha", "-1", "--count", "3"], 2,
+     "count must be positive and alpha nonnegative"),
+    (["moments", "--alpha", "990", "--count", "11"], 2,
+     "count + alpha must be at most 1000"),
+    (["map", "--via", "fv", "not-a-perm"], 3,
+     "cannot parse permutation 'not-a-perm'"),
+    (["map", "--via", "fv", "1,1,2"], 4, "not a permutation of 1..n: (1, 1, 2)"),
+    (["stat", "--perm", "", "--stat", "des"], 3, "empty permutation text"),
+    (["stat", "--perm", "1,3", "--stat", "des"], 4,
+     "not a permutation of 1..n: (1, 3)"),
+    (["distribution", "--n", "3", "--filter", "ab"], 3,
+     "cannot parse permutation 'ab'"),
+    (["distribution", "--n", "3", "--filter", "11"], 4,
+     "not a permutation of 1..n: (1, 1)"),
+    (["map", "--via", "fv-inv", "NX/0,0"], 3, "unknown step letter 'X'"),
+    (["map", "--via", "fz-inv", "NS"], 3,
+     "malformed history literal (missing '/'): 'NS'"),
+    (["map", "--via", "yzl-inv", "NS/0,a"], 3,
+     "invalid literal for int() with base 10: 'a'"),
+    (["map", "--via", "yzl-inv", "NS/0"], 3,
+     "step word and weight sequence have different lengths"),
+    (["map", "--via", "fv-inv", "NS/0,0"], 4, "weight c_2 = 0 outside [1, 1]"),
+    (["map", "--via", "xi", "N/0"], 4, "path ends at height 1, expected 0"),
+    (["map", "--via", "xi", "SN/0,0"], 4, "path drops below the axis at step 1"),
+    (["stat", "--perm", "1,2", "--stat", "bogus"], 5, "unknown statistic 'bogus'"),
+    (["distribution", "--n", "3", "--stats", "des,bogus"], 5,
+     "unknown statistic 'bogus'"),
+    (["verify", "--claim", "nope", "--n-max", "3"], 5, "unknown claim nope"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ERROR_EXITS,
+                         ids=[" ".join(row[0]) for row in ERROR_EXITS])
+def test_error_exits_print_one_line(capsys, monkeypatch, argv, code, message):
+    monkeypatch.delenv("LAGUERRE_MAX_N", raising=False)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

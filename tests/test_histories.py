@@ -105,6 +105,18 @@ def test_from_json_names_a_missing_key():
             LaguerreHistory.from_json(data)
 
 
+def test_non_integer_weights_rejected():
+    with pytest.raises(ValueError, match="history weights must be integers, got 0.5"):
+        LaguerreHistory([N, E, S], [0, 0.5, 1])
+
+
+@pytest.mark.parametrize("c, bad", [([0, 1.9], "1.9"), (["0", "1"], "'0'")])
+def test_from_json_rejects_non_integer_weights(c, bad):
+    # int() would truncate 1.9 to 1 and parse the strings.
+    with pytest.raises(ValueError, match=f"history weights must be integers, got {bad}"):
+        LaguerreHistory.from_json({"w": ["N", "S"], "c": c})
+
+
 def test_enumeration_matches_brute_force():
     for n in range(0, 6):
         got = {(w.w, w.c) for w in enumerate_histories(n)}

@@ -80,6 +80,14 @@ def test_json_round_trip():
     assert IntMultiset.from_json(m.to_json()) == m
 
 
+@pytest.mark.parametrize("data, bad", [([[1.9, 1]], "1.9"), ([[2, 1.5]], "1.5"),
+                                       ([["3", 1]], "'3'")])
+def test_from_json_rejects_non_integers(data, bad):
+    # int() would truncate 1.9 to 1 and parse "3".
+    with pytest.raises(ValueError, match=f"multiset JSON entries must be integers, got {bad}"):
+        IntMultiset.from_json(data)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=9)))
 def test_union_then_difference_is_identity(values):
     a = IntMultiset(values)

@@ -54,6 +54,20 @@ def test_invalid_permutations_rejected():
         Permutation([2, 3])
 
 
+@pytest.mark.parametrize("word", [[2.7, 1.2], [1.0, 2.0], "21", ["2", "1"]])
+def test_non_integer_entries_rejected(word):
+    # int() would truncate the floats and parse the strings into 2,1.
+    with pytest.raises(NotAPermutation):
+        Permutation(word)
+
+
+def test_avoidance_patterns_take_exact_integers():
+    with pytest.raises(NotAPermutation):
+        classical_avoids(Permutation([1, 2, 3]), [2.7, 1.2])
+    with pytest.raises(NotAPermutation):
+        next(avoiders(3, [3.5, 1.0, 2.0]))
+
+
 def test_iter_perms_counts():
     for n in range(1, 6):
         assert sum(1 for _ in iter_perms(n)) == math.factorial(n)
