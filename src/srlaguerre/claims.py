@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .genfun import laguerre_moments
+from .genfun import _a_exponents, laguerre_moments
 from .histories import (
     LaguerreHistory,
     critical_step,
@@ -158,20 +158,11 @@ def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
 
 
 def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
-    g = history_statistics(w_hist)
-    h = history_statistics(xi(w_hist))
-    ok = (
-        len(g.Neb) == len(h.Sdea)
-        and len(g.Sdeb) == len(h.Nea)
-        and len(g.Nea) == len(h.Sdeb)
-        and len(g.Sdea) == len(h.Neb)
-        and len(g.Nde) == n - 1 - len(h.Nde)
-        and len(g.Asc) == n - 1 - len(h.Asc)
-        and g.cs == n + 1 - h.cs
-        and len(g.Ht) == len(h.Ht) + len(h.Neb) - len(h.Sdea)
-        and len(g.Wt) == len(h.Wt) + len(h.Neb) - len(h.Sdea)
-    )
-    return None if ok else f"{w_hist.to_text()}: exponent relations violated"
+    # A_n's monomial map, applied to the exponents of xi(W), gives W's.
+    t1, t2, t3, t4, r, s, x, v, w = _a_exponents(xi(w_hist))
+    image = (t4, t3, t2, t1, n - 1 - r, n - 1 - s, n + 1 - x, v + t3 - t2, w + t3 - t2)
+    return (None if _a_exponents(w_hist) == image
+            else f"{w_hist.to_text()}: exponent relations violated")
 
 
 # ---------------------------------------------------------------------------

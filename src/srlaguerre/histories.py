@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterable, Iterator
 
-from .multiset import IntMultiset, as_ints
+from .multiset import IntMultiset, _int_token, as_ints
 
 
 class StepType(IntEnum):
@@ -132,13 +132,11 @@ class LaguerreHistory:
     @classmethod
     def from_text(cls, text: str) -> "LaguerreHistory":
         text = text.strip()
-        if text == "/":
-            return cls((), ())
         if "/" not in text:
             raise ValueError(f"malformed history literal (missing '/'): {text!r}")
         word_part, _, weight_part = text.partition("/")
         w = _parse_steps(word_part)
-        c = tuple(int(x) for x in weight_part.split(",")) if weight_part else ()
+        c = [_int_token(x) for x in weight_part.split(",")] if weight_part else ()
         return cls(w, c)
 
     def to_json(self) -> dict:
@@ -180,16 +178,13 @@ def _heights(w: tuple[StepType, ...]) -> tuple[int, ...]:
 
 
 def critical_step(history: LaguerreHistory) -> int:
-    """The largest index i with c_i = 0.
+    """The largest index i with c_i = 0, and 0 for the empty history.
 
-    Always defined: c_1 = 0 since h_1 = 0 forces step 1 into the NE class
-    with weight 0.  The critical step itself is always an N or E step.
+    A nonempty history has c_1 = 0, as h_1 = 0 forces step 1 into the NE
+    class.  The critical step itself is always an N or E step.
     """
     c = history.c
-    for i in range(len(c), 0, -1):
-        if c[i - 1] == 0:
-            return i
-    raise ValueError("history has no zero weight; it cannot be valid")
+    return len(c) - c[::-1].index(0) if c else 0
 
 
 @dataclass(frozen=True)
@@ -218,54 +213,30 @@ class HistoryStatRecord:
 
 
 def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
-    w = history.w
-    h = history.h
-    c = history.c
+    w, h, c = history.w, history.h, history.c
     n = len(w)
     cs = critical_step(history)
 
-    neb, sdeb, ndeb, nea, sdea, ndea = [], [], [], [], [], []
-    for i in range(1, n + 1):
-        step = w[i - 1]
-        if i < cs:
-            if step in NE_STEPS:
-                neb.append(i)
-            else:
-                sdeb.append(i)
-            if step in NDE_STEPS:
-                ndeb.append(i)
-        elif i > cs:
-            if step in NE_STEPS:
-                nea.append(i)
-            else:
-                sdea.append(i)
-            if step in NDE_STEPS:
-                ndea.append(i)
-
-    nde = [i for i in range(1, n) if w[i - 1] in NDE_STEPS]
-    asc = []
-    for i in range(1, n):
-        if w[i - 1] in NE_STEPS:
-            if c[i - 1] < c[i]:
-                asc.append(i)
-        elif c[i - 1] <= c[i]:
-            asc.append(i)
-
-    ht = IntMultiset.from_pairs((i, h[i - 1]) for i in range(1, n + 1) if h[i - 1])
-    wt = IntMultiset.from_pairs((i, c[i - 1]) for i in range(1, n + 1) if c[i - 1])
-
+    # The indices before, at and after cs, each side bucketed by step type.
+    sides = (([], [], [], []), ([], [], [], []), ([], [], [], []))
+    for i, step in enumerate(w, start=1):
+        sides[(i >= cs) + (i > cs)][step].append(i)
+    (b_n, b_e, b_de, b_s), (cs_n, _, _, _), (a_n, a_e, a_de, a_s) = sides
+    # Step n ends the path at height 0, so it is E or S: Nde is N ∪ dE
+    # over all of [n].
     return HistoryStatRecord(
         cs=cs,
-        Neb=IntMultiset(neb),
-        Sdeb=IntMultiset(sdeb),
-        Ndeb=IntMultiset(ndeb),
-        Nea=IntMultiset(nea),
-        Sdea=IntMultiset(sdea),
-        Ndea=IntMultiset(ndea),
-        Nde=IntMultiset(nde),
-        Asc=IntMultiset(asc),
-        Ht=ht,
-        Wt=wt,
+        Neb=IntMultiset(b_n + b_e),
+        Sdeb=IntMultiset(b_de + b_s),
+        Ndeb=IntMultiset(b_n + b_de),
+        Nea=IntMultiset(a_n + a_e),
+        Sdea=IntMultiset(a_de + a_s),
+        Ndea=IntMultiset(a_n + a_de),
+        Nde=IntMultiset(b_n + b_de + cs_n + a_n + a_de),
+        Asc=IntMultiset(i for i in range(1, n)
+                        if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)),
+        Ht=IntMultiset.from_pairs((i, hi) for i, hi in enumerate(h, start=1) if hi),
+        Wt=IntMultiset.from_pairs((i, ci) for i, ci in enumerate(c, start=1) if ci),
     )
 
 

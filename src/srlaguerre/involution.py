@@ -18,15 +18,18 @@ the class from condition 2.
 ``XI_TABLE`` records the fourteen local configurations that can occur at
 a position j of the image, together with the constraints each must
 satisfy.  It is an independent re-derivation of the case analysis and is
-used by the verification claims as a second check on xi: every position
-of every image must match its table row exactly, and all fourteen rows
-occur once n reaches 5.
+used by the verification claims as a second check on xi: each position's
+row is found by the table's own key columns (the position class and the
+step classes of steps j and j+1 of the image), every position of every
+image must then meet all of its row's constraints, and all fourteen rows
+occur once n reaches 4.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .histories import (
     LaguerreHistory,
@@ -129,74 +132,54 @@ LATE = "j > n+1-m"
 LAST_M1 = "j = n (m = 1)"
 LAST = "j = n (m > 1)"
 
-NE = "NE"
-SDE = "SdE"
+# Step classes, as the sets of steps they admit.
+NE = NE_STEPS
+SDE = frozenset(StepType) - NE_STEPS
+_E = frozenset((StepType.E,))
+_S = frozenset((StepType.S,))
 
 
 @dataclass(frozen=True)
 class XiTableRow:
     """One local configuration of (W, xi(W)) at a position j.
 
+    ``j_case``, ``vj`` and ``vj1`` are the key: the position class and the
+    steps allowed at steps j and j+1 of V (``vj1`` is None at j = n); the
+    other class columns are the steps allowed at steps n+1-j and n-j of W.
     ``g_off``/``g_next_off`` give g_j - h_{n+1-j} and g_{j+1} - h_{n-j}
     for rows 1-12; for the two j = n rows ``g_off`` is the absolute value
-    of g_n and g_{n+1} = 0.  ``b_rule`` is one of "zero", "one", "lo0"
-    (0 <= b_j <= g_j) and "lo1" (1 <= b_j <= g_j).
+    of g_n and g_{n+1} = 0.  ``b_bounds`` is (lo, hi) with lo <= b_j <= hi,
+    where hi None stands for g_j.
     """
 
     row: int
     j_case: str
-    vj: str  # class of step j of V; exact tag "E"/"S" in rows 13-14
-    vj1: str | None  # class of step j+1 of V (None at j = n)
-    w_rev: str  # class of step n+1-j of W
-    w_rev_next: str | None  # class of step n-j of W
+    vj: frozenset[StepType]
+    vj1: frozenset[StepType] | None
+    w_rev: frozenset[StepType]
+    w_rev_next: frozenset[StepType] | None
     g_off: int
     g_next_off: int | None
     diffs: tuple[int, ...]  # allowed values of g_{j+1} - g_j
-    b_rule: str
+    b_bounds: tuple[int, int | None]
 
 
 XI_TABLE: list[XiTableRow] = [
-    XiTableRow(1, AT_CRIT, NE, NE, NE, SDE, 0, 0, (0, 1), "zero"),
-    XiTableRow(2, AT_CRIT, NE, SDE, NE, NE, 0, 1, (0, 1), "zero"),
-    XiTableRow(3, BEFORE_CRIT, NE, NE, SDE, NE, -1, 0, (0, 1), "lo0"),
-    XiTableRow(4, BEFORE_CRIT, SDE, NE, NE, NE, 0, 0, (0, -1), "lo1"),
-    XiTableRow(5, EARLY, NE, NE, SDE, SDE, -1, -1, (0, 1), "lo0"),
-    XiTableRow(6, EARLY, NE, SDE, SDE, NE, -1, 0, (0, 1), "lo0"),
-    XiTableRow(7, EARLY, SDE, NE, NE, SDE, 0, -1, (0, -1), "lo1"),
-    XiTableRow(8, EARLY, SDE, SDE, NE, NE, 0, 0, (0, -1), "lo1"),
-    XiTableRow(9, LATE, NE, NE, SDE, SDE, 0, 0, (0, 1), "lo0"),
-    XiTableRow(10, LATE, NE, SDE, SDE, NE, 0, 1, (0, 1), "lo0"),
-    XiTableRow(11, LATE, SDE, NE, NE, SDE, 1, 0, (0, -1), "lo1"),
-    XiTableRow(12, LATE, SDE, SDE, NE, NE, 1, 1, (0, -1), "lo1"),
-    XiTableRow(13, LAST_M1, "E", None, NE, None, 0, None, (0,), "zero"),
-    XiTableRow(14, LAST, "S", None, NE, None, 1, None, (-1,), "one"),
+    XiTableRow(1, AT_CRIT, NE, NE, NE, SDE, 0, 0, (0, 1), (0, 0)),
+    XiTableRow(2, AT_CRIT, NE, SDE, NE, NE, 0, 1, (0, 1), (0, 0)),
+    XiTableRow(3, BEFORE_CRIT, NE, NE, SDE, NE, -1, 0, (0, 1), (0, None)),
+    XiTableRow(4, BEFORE_CRIT, SDE, NE, NE, NE, 0, 0, (0, -1), (1, None)),
+    XiTableRow(5, EARLY, NE, NE, SDE, SDE, -1, -1, (0, 1), (0, None)),
+    XiTableRow(6, EARLY, NE, SDE, SDE, NE, -1, 0, (0, 1), (0, None)),
+    XiTableRow(7, EARLY, SDE, NE, NE, SDE, 0, -1, (0, -1), (1, None)),
+    XiTableRow(8, EARLY, SDE, SDE, NE, NE, 0, 0, (0, -1), (1, None)),
+    XiTableRow(9, LATE, NE, NE, SDE, SDE, 0, 0, (0, 1), (0, None)),
+    XiTableRow(10, LATE, NE, SDE, SDE, NE, 0, 1, (0, 1), (0, None)),
+    XiTableRow(11, LATE, SDE, NE, NE, SDE, 1, 0, (0, -1), (1, None)),
+    XiTableRow(12, LATE, SDE, SDE, NE, NE, 1, 1, (0, -1), (1, None)),
+    XiTableRow(13, LAST_M1, _E, None, NE, None, 0, None, (0,), (0, 0)),
+    XiTableRow(14, LAST, _S, None, NE, None, 1, None, (-1,), (1, 1)),
 ]
-
-
-def table_row_index(n: int, m: int, j: int, vj_ne: bool, vj1_ne: bool | None) -> int:
-    """The 1-based XI_TABLE row governing position j of the image."""
-    crit = n + 1 - m
-    if j == n:
-        return 13 if m == 1 else 14
-    if j == crit:
-        return 1 if vj1_ne else 2
-    if j == crit - 1:
-        return 3 if vj_ne else 4
-    if j < crit - 1:
-        if vj_ne:
-            return 5 if vj1_ne else 6
-        return 7 if vj1_ne else 8
-    if vj_ne:
-        return 9 if vj1_ne else 10
-    return 11 if vj1_ne else 12
-
-
-def _class_matches(step: StepType, expected: str) -> bool:
-    if expected == NE:
-        return step in NE_STEPS
-    if expected == SDE:
-        return step not in NE_STEPS
-    return step.letter == expected  # exact tag in rows 13-14
 
 
 def check_table_row(
@@ -208,20 +191,18 @@ def check_table_row(
     violated constraint.
     """
     n = w_hist.n
-    h, c = w_hist.h, w_hist.c
+    w, h = w_hist.w, w_hist.h
     v, g, b = v_hist.w, v_hist.h, v_hist.c
     gj = g[j - 1]
     gj1 = g[j] if j < n else 0
     bj = b[j - 1]
 
-    if not _class_matches(v[j - 1], row.vj):
-        return f"step {j} of image is not {row.vj}"
-    if row.vj1 is not None and not _class_matches(v[j], row.vj1):
-        return f"step {j + 1} of image is not {row.vj1}"
-    if not _class_matches(w_hist.w[n - j], row.w_rev):
-        return f"step {n + 1 - j} of source is not {row.w_rev}"
-    if row.w_rev_next is not None and not _class_matches(w_hist.w[n - j - 1], row.w_rev_next):
-        return f"step {n - j} of source is not {row.w_rev_next}"
+    for k, steps, allowed in ((j, v, row.vj), (j + 1, v, row.vj1),
+                              (n + 1 - j, w, row.w_rev), (n - j, w, row.w_rev_next)):
+        if allowed is not None and steps[k - 1] not in allowed:
+            side = "image" if steps is v else "source"
+            letters = "".join(step.letter for step in sorted(allowed))
+            return f"step {k} of {side} is not one of {letters}"
 
     if row.g_next_off is None:
         if gj != row.g_off:
@@ -236,30 +217,54 @@ def check_table_row(
     if gj1 - gj not in row.diffs:
         return f"height difference {gj1 - gj} not in {row.diffs}"
 
-    if row.b_rule == "zero":
-        ok = bj == 0
-    elif row.b_rule == "one":
-        ok = bj == 1
-    elif row.b_rule == "lo0":
-        ok = 0 <= bj <= gj
-    else:
-        ok = 1 <= bj <= gj
-    if not ok:
-        return f"b_{j} = {bj} violates rule {row.b_rule} with g_{j} = {gj}"
+    lo, hi = row.b_bounds
+    hi = gj if hi is None else hi
+    if not lo <= bj <= hi:
+        return f"b_{j} = {bj} outside [{lo}, {hi}] with g_{j} = {gj}"
     return None
+
+
+def _position_case(n: int, crit: int, j: int) -> str:
+    """The j_case of position j when the image's critical step is crit."""
+    if j == n:
+        return LAST_M1 if crit == n else LAST
+    if j == crit:
+        return AT_CRIT
+    if j == crit - 1:
+        return BEFORE_CRIT
+    return EARLY if j < crit else LATE
+
+
+# (j_case, step j of V, step j+1 of V or None at j = n) -> the index of the
+# XI_TABLE row whose key columns admit it.  The row itself is read from
+# XI_TABLE at each use and checked in full, its key columns included, so a
+# row replaced in place is checked as it then stands.
+_ROW_INDEX = {
+    (row.j_case, vj, vj1): k
+    for k, row in enumerate(XI_TABLE)
+    for vj in row.vj
+    for vj1 in row.vj1 or (None,)
+}
+
+
+def _table_rows(
+    w_hist: LaguerreHistory, v_hist: LaguerreHistory
+) -> Iterator[tuple[int, XiTableRow | None]]:
+    """Each position j of the image with its XI_TABLE row, or None if no
+    row's key columns admit it."""
+    n = w_hist.n
+    crit = n + 1 - critical_step(w_hist)
+    v = v_hist.w + (None,)
+    for j in range(1, n + 1):
+        k = _ROW_INDEX.get((_position_case(n, crit, j), v[j - 1], v[j]))
+        yield j, None if k is None else XI_TABLE[k]
 
 
 def check_against_table(w_hist: LaguerreHistory, v_hist: LaguerreHistory) -> str | None:
     """Match every position of (W, xi(W)) to its XI_TABLE row."""
-    n = w_hist.n
-    if n == 0:
-        return None
-    m = critical_step(w_hist)
-    v = v_hist.w
-    for j in range(1, n + 1):
-        vj_ne = v[j - 1] in NE_STEPS
-        vj1_ne = v[j] in NE_STEPS if j < n else None
-        row = XI_TABLE[table_row_index(n, m, j, vj_ne, vj1_ne) - 1]
+    for j, row in _table_rows(w_hist, v_hist):
+        if row is None:
+            return f"no row at j={j}"
         problem = check_table_row(w_hist, v_hist, j, row)
         if problem is not None:
             return f"row {row.row} at j={j}: {problem}"
@@ -268,13 +273,5 @@ def check_against_table(w_hist: LaguerreHistory, v_hist: LaguerreHistory) -> str
 
 def xi_table_coverage(n: int) -> Counter:
     """How often each XI_TABLE row fires across all histories of length n."""
-    hits: Counter = Counter()
-    for w_hist in enumerate_histories(n):
-        m = critical_step(w_hist)
-        v_hist = xi(w_hist)
-        v = v_hist.w
-        for j in range(1, n + 1):
-            vj_ne = v[j - 1] in NE_STEPS
-            vj1_ne = v[j] in NE_STEPS if j < n else None
-            hits[table_row_index(n, m, j, vj_ne, vj1_ne)] += 1
-    return hits
+    return Counter(row.row for w_hist in enumerate_histories(n)
+                   for _, row in _table_rows(w_hist, xi(w_hist)) if row is not None)

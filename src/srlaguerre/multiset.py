@@ -9,20 +9,36 @@ would hide bookkeeping bugs in the identities this package verifies).
 
 from __future__ import annotations
 
+import re
 from operator import index
 from typing import Iterable, Iterator
 
 
 def as_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
     """The values as exact integers: ``operator.index`` rejects the floats
-    and strings that ``int()`` would truncate or parse."""
+    and strings that ``int()`` would truncate or parse.  A ``bool`` has an
+    index too, so the two bools are rejected by identity first."""
     ints = []
     for v in values:
         try:
+            if v is True or v is False:
+                raise TypeError
             ints.append(index(v))
         except TypeError:
             raise ValueError(f"{what} must be integers, got {v!r}") from None
     return tuple(ints)
+
+
+_INT_TOKEN = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _int_token(token: str) -> int:
+    """The integer a text token spells in ASCII digits, with an optional
+    minus sign and surrounding spaces.  ``int()`` alone would also read a
+    '+', an underscore and the digits of other scripts."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 class ContainmentViolation(ValueError):
@@ -151,9 +167,9 @@ class IntMultiset:
                 part = part.strip()
                 if "^" in part:
                     v, m = part.split("^", 1)
-                    pairs.append((int(v), int(m)))
+                    pairs.append((_int_token(v), _int_token(m)))
                 else:
-                    pairs.append((int(part), 1))
+                    pairs.append((_int_token(part), 1))
         return cls.from_pairs(pairs)
 
     def to_json(self) -> list[list[int]]:

@@ -41,11 +41,10 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, permutations as _permutations
-from operator import index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .histories import StepType
-from .multiset import IntMultiset
+from .multiset import IntMultiset, _int_token, as_ints
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -80,8 +79,8 @@ class Permutation:
     def __init__(self, word: Iterable[int]):
         word = tuple(word)
         try:
-            w = tuple(map(index, word))
-        except TypeError:
+            w = as_ints(word, "permutation entries")
+        except ValueError:
             raise NotAPermutation(word) from None
         if sorted(w) != list(range(1, len(w) + 1)):
             raise NotAPermutation(w)
@@ -135,15 +134,11 @@ class Permutation:
         text = text.strip()
         if not text:
             raise ValueError("empty permutation text")
-        if "," in text:
-            try:
-                values = [int(part) for part in text.split(",")]
-            except ValueError:
-                raise ValueError(f"cannot parse permutation {text!r}") from None
-        else:
-            if not text.isdigit():
-                raise ValueError(f"cannot parse permutation {text!r}")
-            values = [int(ch) for ch in text]
+        tokens = text.split(",") if "," in text else text
+        try:
+            values = [_int_token(token) for token in tokens]
+        except ValueError:
+            raise ValueError(f"cannot parse permutation {text!r}") from None
         return cls(values)
 
     def to_json(self) -> list[int]:

@@ -1,6 +1,8 @@
 """Tests for the permutation-to-history encodings and derived maps."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from srlaguerre.bijections import (
@@ -17,7 +19,12 @@ from srlaguerre.bijections import (
     phi_yzl_inv,
     theta,
 )
-from srlaguerre.histories import LaguerreHistory, StepType, critical_step
+from srlaguerre.histories import (
+    LaguerreHistory,
+    StepType,
+    critical_step,
+    history_statistics,
+)
 from srlaguerre.involution import xi
 from srlaguerre.perm_stats import Permutation, iter_perms, trivial_bijection
 
@@ -149,3 +156,9 @@ def test_every_map_accepts_the_empty_permutation():
     assert variant_nesting_numbers(empty) == ()
     assert phi_yzl(phi_yzl_inv(empty_history)) == empty_history
     assert phi_yzl_inv(phi_yzl(empty)) == empty
+    # The critical step of the empty history is 0, like pone and the last
+    # letter of the empty permutation.
+    assert critical_step(empty_history) == 0
+    record = history_statistics(phi_fv(empty))
+    assert record.cs == 0
+    assert all(len(getattr(record, field.name)) == 0 for field in fields(record)[1:])

@@ -288,6 +288,18 @@ ERROR_EXITS = [
     (["map", "--via", "fv-inv", "NS/0,0"], 4, "weight c_2 = 0 outside [1, 1]"),
     (["map", "--via", "xi", "N/0"], 4, "path ends at height 1, expected 0"),
     (["map", "--via", "xi", "SN/0,0"], 4, "path drops below the axis at step 1"),
+    # Integer tokens are ASCII digits with an optional minus sign only.
+    (["map", "--via", "r", "²"], 3, "cannot parse permutation '²'"),
+    (["map", "--via", "r", "٢١"], 3, "cannot parse permutation '٢١'"),
+    (["stat", "--perm", "١,2", "--stat", "des"], 3, "cannot parse permutation '١,2'"),
+    (["map", "--via", "r", "+1,2"], 3, "cannot parse permutation '+1,2'"),
+    (["map", "--via", "r", "2,1_0,1,3,4,5,6,7,8,9"], 3,
+     "cannot parse permutation '2,1_0,1,3,4,5,6,7,8,9'"),
+    (["map", "--via", "xi", "E/٠"], 3, "invalid literal for int() with base 10: '٠'"),
+    (["map", "--via", "xi", "E/+0"], 3, "invalid literal for int() with base 10: '+0'"),
+    (["map", "--via", "xi", "E/1_0"], 3, "invalid literal for int() with base 10: '1_0'"),
+    (["stat", "--perm=-1,2", "--stat", "des"], 4, "not a permutation of 1..n: (-1, 2)"),
+    (["map", "--via", "xi", "--", "E/-1"], 4, "weight c_1 = -1 outside [0, 0]"),
     (["stat", "--perm", "1,2", "--stat", "bogus"], 5, "unknown statistic 'bogus'"),
     (["distribution", "--n", "3", "--stats", "des,bogus"], 5,
      "unknown statistic 'bogus'"),

@@ -1,6 +1,7 @@
 """Tests for weighted bicolored Motzkin paths."""
 
 import math
+import re
 from itertools import product
 
 import pytest
@@ -108,6 +109,24 @@ def test_from_json_names_a_missing_key():
 def test_non_integer_weights_rejected():
     with pytest.raises(ValueError, match="history weights must be integers, got 0.5"):
         LaguerreHistory([N, E, S], [0, 0.5, 1])
+
+
+def test_bool_weights_rejected():
+    with pytest.raises(ValueError, match="history weights must be integers, got False"):
+        LaguerreHistory([N, S], [False, True])
+
+
+@pytest.mark.parametrize("text, token", [("E/٠", "٠"), ("E/+0", "+0"), ("NS/0,1_0", "1_0")])
+def test_from_text_reads_ascii_weights_only(text, token):
+    message = f"invalid literal for int() with base 10: {token!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LaguerreHistory.from_text(text)
+
+
+def test_from_text_passes_negative_weights_to_the_bounds_check():
+    assert LaguerreHistory.from_text("NS/ 0 , 1 ") == LaguerreHistory([N, S], [0, 1])
+    with pytest.raises(WeightOutOfBounds):
+        LaguerreHistory.from_text("E/-1")
 
 
 @pytest.mark.parametrize("c, bad", [([0, 1.9], "1.9"), (["0", "1"], "'0'")])

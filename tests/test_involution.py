@@ -1,9 +1,11 @@
 """Tests for the reflection-like involution on weighted paths."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from srlaguerre.claims import run_claim
 from srlaguerre.histories import (
     LaguerreHistory,
     NE_STEPS,
@@ -12,6 +14,8 @@ from srlaguerre.histories import (
     history_statistics,
 )
 from srlaguerre.involution import (
+    NE,
+    SDE,
     XI_TABLE,
     check_against_table,
     verify_xi_contract,
@@ -116,3 +120,35 @@ def test_corrupted_table_is_detected():
         assert failures
     finally:
         XI_TABLE[0] = row
+
+
+def _single_column_mutants():
+    """(index, mutant) for each XI_TABLE row with one class column swapped
+    between NE and SdE, or one height offset moved by one."""
+    for index, row in enumerate(XI_TABLE):
+        for column in ("vj", "vj1", "w_rev", "w_rev_next"):
+            value = getattr(row, column)
+            if value in (NE, SDE):
+                yield index, replace(row, **{column: SDE if value == NE else NE})
+        for column in ("g_off", "g_next_off"):
+            value = getattr(row, column)
+            if value is not None:
+                for delta in (-1, 1):
+                    yield index, replace(row, **{column: value + delta})
+
+
+def test_every_single_column_mutant_fails_the_involution_claim():
+    mutants = list(_single_column_mutants())
+    assert len(mutants) == 102
+    missed = []
+    for index, mutant in mutants:
+        original = XI_TABLE[index]
+        XI_TABLE[index] = mutant
+        try:
+            caught = any(run_claim("thm3.2-involution", n).status == "fail"
+                         for n in range(1, 6))
+        finally:
+            XI_TABLE[index] = original
+        if not caught:
+            missed.append(mutant)
+    assert missed == []

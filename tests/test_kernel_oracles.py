@@ -4,19 +4,23 @@ Each ``_old_*`` function below is the implementation that ``src/`` held
 before the coordinate, side and nesting counts became Fenwick sweeps, the
 family multisets were built from (value, count) pairs, the column placement
 found its slot in a list of open slots, the shifted-cyclic decoder went
-through the cyclic one and the Kreweras complement, and the linear decoder
-and valley hopping became a pass over a binary tree.  They are kept
+through the cyclic one and the Kreweras complement, the linear decoder
+and valley hopping became a pass over a binary tree, ``history_statistics``
+became one bucketing pass, and the XI_TABLE row of a position was found by
+a branch chain instead of the table's own key columns.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
 kernels must agree with them on all of S_n for n <= 7 and on seeded random
 permutations of size 50, 300 and 1000, the tree kernels also on monotone
-words of size 3000, and the decoders on every history with n <= 7 and on
-random histories of size up to 200.  ``_old_phi_fv_inv`` rescans the word
+words of size 3000, and the decoders, the history statistics and the row
+lookup on every history with n <= 7 and on random histories of size up to
+200.  ``_old_phi_fv_inv`` rescans the word
 for empty slots at every letter, and ``_old_mfs_full_list`` hops one letter
 at a time on a list.  ``_old_phi_yzl_inv`` is the semi-arc construction, so
 it also witnesses the identity phi_yzl = phi_fz o kreweras from the
 decoding side.  ``_old_mfs_full`` is the fold of the single-letter hop
-``mfs_phi_x``, which is still the definition in ``src/``.  The last test
-checks that no family builds a multiset from more than n items.
+``mfs_phi_x``, which is still the definition in ``src/``.  The last tests
+check that no family builds a multiset from more than n items, and that a
+history's statistics build exactly ten multisets.
 """
 from __future__ import annotations
 
@@ -39,11 +43,14 @@ from srlaguerre.bijections import (
 from srlaguerre.histories import (
     NDE_STEPS,
     NE_STEPS,
+    HistoryStatRecord,
     LaguerreHistory,
     StepType,
     critical_step,
     enumerate_histories,
+    history_statistics,
 )
+from srlaguerre.involution import _table_rows, xi
 from srlaguerre.mfs_action import (
     coordinate_counts_zero_boundary,
     mfs_full,
@@ -676,6 +683,106 @@ def test_fv_decoder_fails_like_oracle_on_malformed_histories():
 
 
 # ---------------------------------------------------------------------------
+# History layer: the split at the critical step and the XI_TABLE row lookup
+# ---------------------------------------------------------------------------
+
+def _old_history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
+    w = history.w
+    h = history.h
+    c = history.c
+    n = len(w)
+    cs = critical_step(history)
+
+    neb, sdeb, ndeb, nea, sdea, ndea = [], [], [], [], [], []
+    for i in range(1, n + 1):
+        step = w[i - 1]
+        if i < cs:
+            if step in NE_STEPS:
+                neb.append(i)
+            else:
+                sdeb.append(i)
+            if step in NDE_STEPS:
+                ndeb.append(i)
+        elif i > cs:
+            if step in NE_STEPS:
+                nea.append(i)
+            else:
+                sdea.append(i)
+            if step in NDE_STEPS:
+                ndea.append(i)
+
+    nde = [i for i in range(1, n) if w[i - 1] in NDE_STEPS]
+    asc = []
+    for i in range(1, n):
+        if w[i - 1] in NE_STEPS:
+            if c[i - 1] < c[i]:
+                asc.append(i)
+        elif c[i - 1] <= c[i]:
+            asc.append(i)
+
+    ht = IntMultiset.from_pairs((i, h[i - 1]) for i in range(1, n + 1) if h[i - 1])
+    wt = IntMultiset.from_pairs((i, c[i - 1]) for i in range(1, n + 1) if c[i - 1])
+
+    return HistoryStatRecord(
+        cs=cs,
+        Neb=IntMultiset(neb),
+        Sdeb=IntMultiset(sdeb),
+        Ndeb=IntMultiset(ndeb),
+        Nea=IntMultiset(nea),
+        Sdea=IntMultiset(sdea),
+        Ndea=IntMultiset(ndea),
+        Nde=IntMultiset(nde),
+        Asc=IntMultiset(asc),
+        Ht=ht,
+        Wt=wt,
+    )
+
+
+def _old_table_row_index(n: int, m: int, j: int, vj_ne: bool, vj1_ne: bool | None) -> int:
+    """The 1-based XI_TABLE row governing position j of the image."""
+    crit = n + 1 - m
+    if j == n:
+        return 13 if m == 1 else 14
+    if j == crit:
+        return 1 if vj1_ne else 2
+    if j == crit - 1:
+        return 3 if vj_ne else 4
+    if j < crit - 1:
+        if vj_ne:
+            return 5 if vj1_ne else 6
+        return 7 if vj1_ne else 8
+    if vj_ne:
+        return 9 if vj1_ne else 10
+    return 11 if vj1_ne else 12
+
+
+def _check_history_layer(w_hist: LaguerreHistory) -> None:
+    assert history_statistics(w_hist) == _old_history_statistics(w_hist), w_hist.to_text()
+    n = w_hist.n
+    m = critical_step(w_hist)
+    v_hist = xi(w_hist)
+    v = v_hist.w
+    picked = [(j, row.row) for j, row in _table_rows(w_hist, v_hist)]
+    expected = [
+        (j, _old_table_row_index(n, m, j, v[j - 1] in NE_STEPS,
+                                 v[j] in NE_STEPS if j < n else None))
+        for j in range(1, n + 1)]
+    assert picked == expected, w_hist.to_text()
+
+
+def test_history_layer_matches_oracles_on_small_histories():
+    for n in range(0, 8):
+        for w_hist in enumerate_histories(n):
+            _check_history_layer(w_hist)
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_histories())
+def test_history_layer_matches_oracles_on_large_histories(w_hist):
+    _check_history_layer(w_hist)
+
+
+# ---------------------------------------------------------------------------
 # No quadratic intermediates
 # ---------------------------------------------------------------------------
 
@@ -719,3 +826,12 @@ def test_no_multiset_consumes_more_than_n_items(kernel, monkeypatch):
     assert meter.sizes, "no IntMultiset was built"
     assert max(meter.sizes) <= n
 
+
+def test_history_statistics_builds_ten_multisets(monkeypatch):
+    histories = [LaguerreHistory.from_text("/"), LaguerreHistory.from_text("NEDSE/0,1,1,1,0")]
+    meter = _ConsumptionMeter(monkeypatch)
+    for w_hist in histories:
+        before = len(meter.sizes)
+        history_statistics(w_hist)
+        assert len(meter.sizes) - before == 10
+        assert max(meter.sizes[before:], default=0) <= w_hist.n

@@ -5,7 +5,8 @@ was before the table: every ingredient read off the O(n^2) pattern counters
 that ``vincular_count`` used then and the three statistic families, and one
 branch per statistic.  The table, its per-ingredient kernels and
 ``vincular_count`` must agree with them on all of S_n for small n and on
-seeded random permutations of size 50 and 300.  The perturbation test
+seeded random permutations of size 50 and 300.  Two rows, yzl2_p and
+yzl4_p, are pinned pointwise to inv and fz4.  The perturbation test
 checks that the Mahonian claims notice any one-unit change to the table.
 """
 from __future__ import annotations
@@ -247,6 +248,17 @@ def test_kernels_match_family_cardinalities(n: int) -> None:
         for literal in _REGISTRY_PATTERNS:
             assert vincular_count(pi, literal) == g[literal], (
                 f"vincular_count({literal}) disagrees on {word}")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 300))
+def test_two_rows_equal_other_rows(n: int) -> None:
+    # yzl2_p = inv and yzl4_p = fz4 pointwise, although the table writes
+    # them as different formulas.
+    words = _sample(n) if n <= 7 else _random_words(n, 10, seed=4111)
+    for word in words:
+        pi = Permutation(word)
+        assert mahonian(pi, "yzl2_p") == mahonian(pi, "inv"), pi.to_text()
+        assert mahonian(pi, "yzl4_p") == mahonian(pi, "fz4"), pi.to_text()
 
 
 def test_registry_order_and_names() -> None:

@@ -1,5 +1,7 @@
 """Tests for the integer multiset type."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +75,7 @@ def test_text_round_trip():
     assert m.to_text() == "{4^2,5}"
     assert IntMultiset.from_text(m.to_text()) == m
     assert IntMultiset.from_text("{}") == IntMultiset()
+    assert IntMultiset.from_text("{ 2^3 , 5 }") == IntMultiset([2, 2, 2, 5])
 
 
 def test_json_round_trip():
@@ -81,11 +84,18 @@ def test_json_round_trip():
 
 
 @pytest.mark.parametrize("data, bad", [([[1.9, 1]], "1.9"), ([[2, 1.5]], "1.5"),
-                                       ([["3", 1]], "'3'")])
+                                       ([["3", 1]], "'3'"), ([[True, 1]], "True")])
 def test_from_json_rejects_non_integers(data, bad):
     # int() would truncate 1.9 to 1 and parse "3".
     with pytest.raises(ValueError, match=f"multiset JSON entries must be integers, got {bad}"):
         IntMultiset.from_json(data)
+
+
+@pytest.mark.parametrize("text, token", [("{1_0}", "1_0"), ("{١}", "١"), ("{2^+3}", "+3")])
+def test_from_text_reads_ascii_digits_only(text, token):
+    message = f"invalid literal for int() with base 10: {token!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IntMultiset.from_text(text)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9)))

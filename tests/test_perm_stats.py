@@ -61,6 +61,26 @@ def test_non_integer_entries_rejected(word):
         Permutation(word)
 
 
+@pytest.mark.parametrize("build", [Permutation, Permutation.from_json],
+                         ids=["Permutation", "from_json"])
+def test_bool_entries_rejected(build):
+    # operator.index accepts True as 1.
+    with pytest.raises(NotAPermutation):
+        build([True])
+
+
+@pytest.mark.parametrize("text", ["²", "١,2", "٢١", "+1,2", "2,1_0,1,3,4,5,6,7,8,9", "1,,2"])
+def test_from_text_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="cannot parse permutation"):
+        Permutation.from_text(text)
+
+
+def test_from_text_keeps_spaces_and_minus_signs():
+    assert Permutation.from_text(" 2 , 1 ") == Permutation([2, 1])
+    with pytest.raises(NotAPermutation):
+        Permutation.from_text("-1,2")
+
+
 def test_avoidance_patterns_take_exact_integers():
     with pytest.raises(NotAPermutation):
         classical_avoids(Permutation([1, 2, 3]), [2.7, 1.2])
