@@ -85,8 +85,9 @@ def phi_fv_inv(history: LaguerreHistory) -> Permutation:
     dE a left one, S none.  The open slots stay in an ordered list of ids
     ``2 * owner + side`` (side 1 on the right; the first slot hangs off a
     virtual root 0), and each step replaces one entry by C-level list
-    moves.  The word is the tree read in order, O(n); the one leftover slot
-    must be the right child of its last letter.
+    moves.  The word is the tree read in order, O(n), a permutation by
+    construction; the one leftover slot must be the right child of its
+    last letter.
     """
     child = [0] * (2 * history.n + 2)
     slots = [1]
@@ -108,7 +109,7 @@ def phi_fv_inv(history: LaguerreHistory) -> Permutation:
     word = in_order(child[::2], child[1::2], child[1])
     if slots != [2 * (word[-1] if word else 0) + 1]:
         raise SlotIndexOutOfRange("leftover slot is not the trailing one")
-    return Permutation(word)
+    return Permutation._unchecked(word)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def phi_yzl_inv(history: LaguerreHistory) -> Permutation:
     """
     sigma = phi_fz_inv(history)
     n = sigma.n
-    return Permutation([v % n + 1 for v in sigma.inverse_word])
+    return Permutation._unchecked(tuple(v % n + 1 for v in sigma.inverse_word))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +229,14 @@ def theta(pi: Permutation) -> Permutation:
     """The mirror map: theta_n = n+1-pi(n) and theta_i = n+1-pi(n-i)."""
     n = pi.n
     # n - i is 0 only at i = n, which reads pi(n).
-    return Permutation([n + 1 - pi.value(n - i or n) for i in range(1, n + 1)])
+    return Permutation._unchecked(
+        tuple(n + 1 - pi.value(n - i or n) for i in range(1, n + 1)))
 
 
 def kreweras(pi: Permutation) -> Permutation:
     """The Kreweras complement pi^{-1}(2) ... pi^{-1}(n) pi^{-1}(1)."""
-    n = pi.n
-    return Permutation(
-        [pi.position(v % n + 1) for v in range(1, n + 1)]
-    )
+    inverse = pi.inverse_word
+    return Permutation._unchecked(inverse[1:] + inverse[:1])
 
 
 _CONJUGATED = {

@@ -72,7 +72,12 @@ class WeightOutOfBounds(ValueError):
 
 
 class LaguerreHistory:
-    """An immutable restricted Laguerre history (w, h, c), indices 1-based."""
+    """An immutable restricted Laguerre history (w, h, c), indices 1-based.
+
+    The constructor and parsers validate the path and the weights.
+    ``_unchecked`` is only for builders whose output is valid by
+    construction, each pinned by a differential test.
+    """
 
     __slots__ = ("w", "h", "c")
 
@@ -223,20 +228,22 @@ def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
         sides[(i >= cs) + (i > cs)][step].append(i)
     (b_n, b_e, b_de, b_s), (cs_n, _, _, _), (a_n, a_e, a_de, a_s) = sides
     # Step n ends the path at height 0, so it is E or S: Nde is N ∪ dE
-    # over all of [n].
+    # over all of [n].  Every multiset is a dict of distinct indices in
+    # [n] with positive multiplicities, so none is validated again.
+    ms, once = IntMultiset._unchecked, dict.fromkeys
     return HistoryStatRecord(
         cs=cs,
-        Neb=IntMultiset(b_n + b_e),
-        Sdeb=IntMultiset(b_de + b_s),
-        Ndeb=IntMultiset(b_n + b_de),
-        Nea=IntMultiset(a_n + a_e),
-        Sdea=IntMultiset(a_de + a_s),
-        Ndea=IntMultiset(a_n + a_de),
-        Nde=IntMultiset(b_n + b_de + cs_n + a_n + a_de),
-        Asc=IntMultiset(i for i in range(1, n)
-                        if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)),
-        Ht=IntMultiset.from_pairs((i, hi) for i, hi in enumerate(h, start=1) if hi),
-        Wt=IntMultiset.from_pairs((i, ci) for i, ci in enumerate(c, start=1) if ci),
+        Neb=ms(once(b_n + b_e, 1)),
+        Sdeb=ms(once(b_de + b_s, 1)),
+        Ndeb=ms(once(b_n + b_de, 1)),
+        Nea=ms(once(a_n + a_e, 1)),
+        Sdea=ms(once(a_de + a_s, 1)),
+        Ndea=ms(once(a_n + a_de, 1)),
+        Nde=ms(once(b_n + b_de + cs_n + a_n + a_de, 1)),
+        Asc=ms(once((i for i in range(1, n)
+                     if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)), 1)),
+        Ht=ms({i: hi for i, hi in enumerate(h, start=1) if hi}),
+        Wt=ms({i: ci for i, ci in enumerate(c, start=1) if ci}),
     )
 
 

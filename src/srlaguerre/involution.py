@@ -68,6 +68,11 @@ def xi(history: LaguerreHistory) -> LaguerreHistory:
             g[j] = hj
         b[j] = g[j] - hj + c[n - j]
 
+    # In place of the constructor's checks: step j rises by g_{j+1} - g_j,
+    # so g_1 = g_{n+1} = 0 makes g the heights of a closed path, and
+    # 0 <= lo <= b_j <= g_j keeps them nonnegative.
+    if g[1] != 0:
+        raise InternalInconsistency(f"image starts at height {g[1]}, not 0")
     v = []
     for j in range(1, n + 1):
         d = g[j + 1] - g[j]
@@ -81,10 +86,11 @@ def xi(history: LaguerreHistory) -> LaguerreHistory:
             raise InternalInconsistency(
                 f"height difference {d} incompatible with step class at j={j}"
             )
+        lo = 0 if ne[j] else 1
+        if not lo <= b[j] <= g[j]:
+            raise InternalInconsistency(f"weight b_{j} = {b[j]} outside [{lo}, {g[j]}]")
 
-    image = LaguerreHistory(v, b[1:])
-    if image.h != tuple(g[1 : n + 1]):
-        raise InternalInconsistency("reconstructed heights disagree with g")
+    image = LaguerreHistory._unchecked(tuple(v), tuple(g[1 : n + 1]), tuple(b[1:]))
     if critical_step(image) != crit:
         raise InternalInconsistency("image critical step is not n+1-m")
     return image
@@ -191,6 +197,8 @@ def check_table_row(
     violated constraint.
     """
     n = w_hist.n
+    if j == n and row.vj1 is not None:
+        return "rows 1-12 need step j+1; j = n"
     w, h = w_hist.w, w_hist.h
     v, g, b = v_hist.w, v_hist.h, v_hist.c
     gj = g[j - 1]

@@ -6,12 +6,12 @@ descents under that boundary) live here next to the action that uses them.
 
 Costs: ``mfs_phi_x`` is O(n); ``mfs_full`` hops all n letters at once on
 the min-rooted Cartesian tree of the word, O(n) to build, flip and read in
-order, plus one validation of the image; the zero-boundary coordinate
-counts are one ``coordinate_counts`` sweep per statistic, and the three
-zero-boundary multisets are built from those counts by ``_with_counts``,
-three sweeps in all, from which valley hopping also reads the plain 2-13
-and 31-2 multisets; the extrema recount ``coordinate_stat_by_extrema`` is
-O(n) per position, as an oracle.
+order, and not validated, as a tree on [n] read in order is a permutation;
+the zero-boundary coordinate counts are one ``coordinate_counts`` sweep
+per statistic, and the three zero-boundary multisets are built from those
+counts by ``_with_counts``, three sweeps in all, from which valley hopping
+also reads the plain 2-13 and 31-2 multisets; the extrema recount
+``coordinate_stat_by_extrema`` is O(n) per position, as an oracle.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ def starred_classes(pi: Permutation) -> StarredClasses:
     values: tuple[list[int], ...] = ([], [], [], [])
     for p, v in enumerate(word, start=1):
         values[linear_class(word, p, 0, 0)].append(v)
+    ms, once = IntMultiset._unchecked, dict.fromkeys
     return StarredClasses(
-        Lpk=IntMultiset(values[_S]),
-        Lval=IntMultiset(values[_N]),
-        Lda=IntMultiset(values[_E]),
-        Ldd=IntMultiset(values[_DE]),
+        Lpk=ms(once(values[_S], 1)),
+        Lval=ms(once(values[_N], 1)),
+        Lda=ms(once(values[_E], 1)),
+        Ldd=ms(once(values[_DE], 1)),
     )
 
 
@@ -105,7 +106,7 @@ def mfs_full(pi: Permutation) -> Permutation:
     for v in range(1, n + 1):
         if not (left[v] and right[v]):
             left[v], right[v] = right[v], left[v]
-    return Permutation(in_order(left, right, stack[0] if stack else 0))
+    return Permutation._unchecked(in_order(left, right, stack[0] if stack else 0))
 
 
 def coordinate_counts_zero_boundary(pi: Permutation, which: str) -> tuple[int, ...]:

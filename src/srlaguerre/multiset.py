@@ -5,6 +5,10 @@ positive integers.  ``IntMultiset`` is immutable and hashable; the two
 combining operations are the disjoint union and a *strict* difference that
 raises if the subtrahend is not contained in the minuend (silently clamping
 would hide bookkeeping bugs in the identities this package verifies).
+
+The public constructors (``IntMultiset(...)``, ``from_pairs``, ``from_text``,
+``from_json``) validate every entry.  ``_unchecked`` is only for builders
+whose output is valid by construction, each pinned by a differential test.
 """
 
 from __future__ import annotations

@@ -72,7 +72,12 @@ class PatternSyntaxError(ValueError):
 
 
 class Permutation:
-    """A permutation of [n], stored one-line as word = (pi(1), ..., pi(n))."""
+    """A permutation of [n], stored one-line as word = (pi(1), ..., pi(n)).
+
+    The constructor and parsers validate the word.  ``_unchecked`` is only
+    for builders whose output is a permutation by construction, each
+    pinned by a differential test.
+    """
 
     __slots__ = ("word", "_inverse")
 
@@ -86,6 +91,13 @@ class Permutation:
             raise NotAPermutation(w)
         self.word = w
         self._inverse: tuple[int, ...] | None = None
+
+    @classmethod
+    def _unchecked(cls, word: tuple[int, ...]) -> "Permutation":
+        pi = cls.__new__(cls)
+        pi.word = word
+        pi._inverse = None
+        return pi
 
     @property
     def n(self) -> int:
@@ -106,7 +118,7 @@ class Permutation:
         return self.inverse_word[v - 1]
 
     def inverse(self) -> "Permutation":
-        return Permutation(self.inverse_word)
+        return Permutation._unchecked(self.inverse_word)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -152,7 +164,7 @@ class Permutation:
 def iter_perms(n: int) -> Iterator[Permutation]:
     """All permutations of [n] in lexicographic order."""
     for word in _permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._unchecked(word)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +223,9 @@ def _range_union(ranges: Iterable[tuple[int, int]], size: int) -> IntMultiset:
 
 
 def _with_counts(values: Iterable[int], counts: Iterable[int]) -> IntMultiset:
-    """Each value taken as many times as its count; zero counts drop out."""
-    return IntMultiset.from_pairs((v, m) for v, m in zip(values, counts) if m > 0)
+    """Each value taken as many times as its count; zero counts drop out.
+    The values must be distinct positive integers."""
+    return IntMultiset._unchecked({v: m for v, m in zip(values, counts) if m > 0})
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +267,21 @@ def linear_family(pi: Permutation) -> LinearStatRecord:
     dt = [word[i - 1] for i in des_pos]
     db = [word[i] for i in des_pos]
     ides = [i for i in range(1, n) if pi.inverse_word[i - 1] > pi.inverse_word[i]]
+    ms, once = IntMultiset._unchecked, dict.fromkeys
     return LinearStatRecord(
-        Des=IntMultiset(des_pos),
-        Ides=IntMultiset(ides),
-        Dt=IntMultiset(dt),
-        Db=IntMultiset(db),
-        Ab=IntMultiset(asc_bottoms),
-        Dtb=IntMultiset(v for v in dt if v < last),
-        Dta=IntMultiset(v for v in dt if v > last),
-        Dbb=IntMultiset(v for v in db if v < last),
-        Dba=IntMultiset(v for v in db if v > last),
-        Abb=IntMultiset(v for v in asc_bottoms if v < last),
-        Aba=IntMultiset(v for v in asc_bottoms if v > last),
+        Des=ms(once(des_pos, 1)),
+        Ides=ms(once(ides, 1)),
+        Dt=ms(once(dt, 1)),
+        Db=ms(once(db, 1)),
+        Ab=ms(once(asc_bottoms, 1)),
+        Dtb=ms(once((v for v in dt if v < last), 1)),
+        Dta=ms(once((v for v in dt if v > last), 1)),
+        Dbb=ms(once((v for v in db if v < last), 1)),
+        Dba=ms(once((v for v in db if v > last), 1)),
+        Abb=ms(once((v for v in asc_bottoms if v < last), 1)),
+        Aba=ms(once((v for v in asc_bottoms if v > last), 1)),
         Ddif=_range_union(((b + 1, a + 1) for a, b in zip(dt, db)), n),
-        Dbot=IntMultiset.from_pairs((b, b) for b in db),
+        Dbot=ms({b: b for b in db}),
     )
 
 
@@ -362,24 +376,25 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     values: tuple[list[int], ...] = ([], [], [], [])
     for v, step in enumerate(cyclic_classes(pi), start=1):
         values[step].append(v)
+    ms, once = IntMultiset._unchecked, dict.fromkeys
     return CyclicStatRecord(
-        Exc=IntMultiset(exc),
-        Nexc=IntMultiset(nexc),
-        Ep=IntMultiset(ep),
-        Excb=IntMultiset(v for v in exc if v < last),
-        Exca=IntMultiset(v for v in exc if v > last),
-        Nexcb=IntMultiset(v for v in nexc if v < last),
-        Nexca=IntMultiset(v for v in nexc if v > last),
-        Epb=IntMultiset(i for i in ep if i < last),
-        Epa=IntMultiset(i for i in ep if i > last),
+        Exc=ms(once(exc, 1)),
+        Nexc=ms(once(nexc, 1)),
+        Ep=ms(once(ep, 1)),
+        Excb=ms(once((v for v in exc if v < last), 1)),
+        Exca=ms(once((v for v in exc if v > last), 1)),
+        Nexcb=ms(once((v for v in nexc if v < last), 1)),
+        Nexca=ms(once((v for v in nexc if v > last), 1)),
+        Epb=ms(once((i for i in ep if i < last), 1)),
+        Epa=ms(once((i for i in ep if i > last), 1)),
         Edif=_range_union(((i + 1, word[i - 1] + 1) for i in ep), n),
-        Ebot=IntMultiset.from_pairs((i, i) for i in ep),
+        Ebot=ms({i: i for i in ep}),
         Ine=_with_counts(word, side),
         side=side,
-        Cpk=IntMultiset(values[_S]),
-        Cval=IntMultiset(values[_N]),
-        Cda=IntMultiset(values[_DE]),
-        Cdd=IntMultiset(values[_E]),
+        Cpk=ms(once(values[_S], 1)),
+        Cval=ms(once(values[_N], 1)),
+        Cda=ms(once(values[_DE], 1)),
+        Cdd=ms(once(values[_E], 1)),
     )
 
 
@@ -491,24 +506,25 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     vnex = sorted(indices[_N] + indices[_DE])
     vedif = [(i + 1, word[i - 1]) for i in ep]
     vedif.append((pone + 1, n + 1))
+    ms, once = IntMultiset._unchecked, dict.fromkeys
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
         vnest=vnest,
-        Scval=IntMultiset(indices[_N]),
-        Scpk=IntMultiset(indices[_S]),
-        Scda=IntMultiset(indices[_E]),
-        Scdd=IntMultiset(indices[_DE]),
-        Nep=IntMultiset(nep),
-        Vnex=IntMultiset(vnex),
-        Vnepb=IntMultiset(i for i in nep if i < pone),
-        Vnepa=IntMultiset(i for i in nep if i > pone),
-        Vnexb=IntMultiset(i for i in vnex if i < pone),
-        Vnexa=IntMultiset(i for i in vnex if i > pone),
-        Vepb=IntMultiset(i for i in ep if i < pone),
-        Vepa=IntMultiset(i for i in ep if i > pone),
+        Scval=ms(once(indices[_N], 1)),
+        Scpk=ms(once(indices[_S], 1)),
+        Scda=ms(once(indices[_E], 1)),
+        Scdd=ms(once(indices[_DE], 1)),
+        Nep=ms(once(nep, 1)),
+        Vnex=ms(once(vnex, 1)),
+        Vnepb=ms(once((i for i in nep if i < pone), 1)),
+        Vnepa=ms(once((i for i in nep if i > pone), 1)),
+        Vnexb=ms(once((i for i in vnex if i < pone), 1)),
+        Vnexa=ms(once((i for i in vnex if i > pone), 1)),
+        Vepb=ms(once((i for i in ep if i < pone), 1)),
+        Vepa=ms(once((i for i in ep if i > pone), 1)),
         Vedif=_range_union(vedif, n),
-        Vbot=IntMultiset.from_pairs((i, i) for i in vnex),
+        Vbot=ms({i: i for i in vnex}),
         Vnest=_with_counts(range(1, n + 1), vnest),
     )
 
@@ -1002,10 +1018,10 @@ def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
     values = tuple(range(1, n + 1))
     if pat == (3, 1, 2):
         for word in _gen_312_avoiding(values):
-            yield Permutation(word)
+            yield Permutation._unchecked(word)
     elif pat == (2, 1, 3):
         for word in _gen_312_avoiding(values):
-            yield Permutation(word[::-1])
+            yield Permutation._unchecked(word[::-1])
     else:
         for pi in iter_perms(n):
             if classical_avoids(pi, pat):
@@ -1035,7 +1051,7 @@ def linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType
     return _DE
 
 
-def in_order(left: Sequence[int], right: Sequence[int], root: int) -> list[int]:
+def in_order(left: Sequence[int], right: Sequence[int], root: int) -> tuple[int, ...]:
     """The values of a binary tree read in order, from ``root`` (0 for the
     empty tree); ``left[v]`` and ``right[v]`` are the children of v, 0 for
     none.  O(n) with an explicit stack.
@@ -1048,7 +1064,7 @@ def in_order(left: Sequence[int], right: Sequence[int], root: int) -> list[int]:
             stack.append(v)
             v = left[v]
         if not stack:
-            return out
+            return tuple(out)
         v = stack.pop()
         out.append(v)
         v = right[v]

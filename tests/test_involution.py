@@ -18,6 +18,7 @@ from srlaguerre.involution import (
     SDE,
     XI_TABLE,
     check_against_table,
+    check_table_row,
     verify_xi_contract,
     xi,
     xi_table_coverage,
@@ -80,6 +81,14 @@ def test_table_matches_exhaustive():
     for n in range(1, 7):
         for w in enumerate_histories(n):
             assert check_against_table(w, xi(w)) is None
+
+
+def test_rows_one_to_twelve_at_j_equal_n_are_a_problem_not_an_error():
+    for n in range(1, 5):
+        for w in enumerate_histories(n):
+            v = xi(w)
+            for row in XI_TABLE[:12]:
+                assert check_table_row(w, v, n, row) == "rows 1-12 need step j+1; j = n"
 
 
 def test_table_coverage_complete_by_five():

@@ -787,12 +787,14 @@ def test_history_layer_matches_oracles_on_large_histories(w_hist):
 # ---------------------------------------------------------------------------
 
 class _ConsumptionMeter:
-    """Counts the items each IntMultiset constructor call consumes."""
+    """Counts the items each checked IntMultiset constructor call consumes,
+    and the entries of each dict handed to ``_unchecked``."""
 
     def __init__(self, monkeypatch):
         self.sizes: list[int] = []
         init = IntMultiset.__init__
         from_pairs = IntMultiset.from_pairs.__func__
+        unchecked = IntMultiset._unchecked.__func__
         meter = self
 
         def counted(items):
@@ -808,8 +810,13 @@ class _ConsumptionMeter:
         def counting_from_pairs(cls, pairs):
             return from_pairs(cls, counted(pairs))
 
+        def counting_unchecked(cls, entries):
+            meter.sizes.append(len(entries))
+            return unchecked(cls, entries)
+
         monkeypatch.setattr(IntMultiset, "__init__", counting_init)
         monkeypatch.setattr(IntMultiset, "from_pairs", classmethod(counting_from_pairs))
+        monkeypatch.setattr(IntMultiset, "_unchecked", classmethod(counting_unchecked))
 
 
 @pytest.mark.parametrize("kernel", [
