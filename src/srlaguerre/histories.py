@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterable, Iterator
 
-from .multiset import IntMultiset, _int_token, as_ints
+from .multiset import IntMultiset, _distinct, _int_token, _with_counts, as_ints
 
 
 class StepType(IntEnum):
@@ -230,20 +230,19 @@ def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
     # Step n ends the path at height 0, so it is E or S: Nde is N ∪ dE
     # over all of [n].  Every multiset is a dict of distinct indices in
     # [n] with positive multiplicities, so none is validated again.
-    ms, once = IntMultiset._unchecked, dict.fromkeys
     return HistoryStatRecord(
         cs=cs,
-        Neb=ms(once(b_n + b_e, 1)),
-        Sdeb=ms(once(b_de + b_s, 1)),
-        Ndeb=ms(once(b_n + b_de, 1)),
-        Nea=ms(once(a_n + a_e, 1)),
-        Sdea=ms(once(a_de + a_s, 1)),
-        Ndea=ms(once(a_n + a_de, 1)),
-        Nde=ms(once(b_n + b_de + cs_n + a_n + a_de, 1)),
-        Asc=ms(once((i for i in range(1, n)
-                     if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)), 1)),
-        Ht=ms({i: hi for i, hi in enumerate(h, start=1) if hi}),
-        Wt=ms({i: ci for i, ci in enumerate(c, start=1) if ci}),
+        Neb=_distinct(b_n + b_e),
+        Sdeb=_distinct(b_de + b_s),
+        Ndeb=_distinct(b_n + b_de),
+        Nea=_distinct(a_n + a_e),
+        Sdea=_distinct(a_de + a_s),
+        Ndea=_distinct(a_n + a_de),
+        Nde=_distinct(b_n + b_de + cs_n + a_n + a_de),
+        Asc=_distinct(i for i in range(1, n)
+                      if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)),
+        Ht=_with_counts(range(1, n + 1), h),
+        Wt=_with_counts(range(1, n + 1), c),
     )
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .histories import StepType
-from .multiset import IntMultiset
-from .perm_stats import (_COORDINATES, Permutation, _with_counts,
-                         coordinate_counts, in_order, linear_class)
+from .multiset import IntMultiset, _distinct, _with_counts
+from .perm_stats import (_COORDINATES, Permutation, coordinate_counts,
+                         in_order, linear_class)
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -45,12 +45,11 @@ def starred_classes(pi: Permutation) -> StarredClasses:
     values: tuple[list[int], ...] = ([], [], [], [])
     for p, v in enumerate(word, start=1):
         values[linear_class(word, p, 0, 0)].append(v)
-    ms, once = IntMultiset._unchecked, dict.fromkeys
     return StarredClasses(
-        Lpk=ms(once(values[_S], 1)),
-        Lval=ms(once(values[_N], 1)),
-        Lda=ms(once(values[_E], 1)),
-        Ldd=ms(once(values[_DE], 1)),
+        Lpk=_distinct(values[_S]),
+        Lval=_distinct(values[_N]),
+        Lda=_distinct(values[_E]),
+        Ldd=_distinct(values[_DE]),
     )
 
 

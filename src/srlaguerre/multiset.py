@@ -9,6 +9,8 @@ would hide bookkeeping bugs in the identities this package verifies).
 The public constructors (``IntMultiset(...)``, ``from_pairs``, ``from_text``,
 ``from_json``) validate every entry.  ``_unchecked`` is only for builders
 whose output is valid by construction, each pinned by a differential test.
+The statistic records are built by two such builders, ``_distinct`` and
+``_with_counts``, which state their preconditions once.
 """
 
 from __future__ import annotations
@@ -197,3 +199,16 @@ def kappa(n: int, a: IntMultiset) -> IntMultiset:
             raise OutOfRange(v, n)
         entries[n - v] = m
     return IntMultiset._unchecked(entries)
+
+
+def _distinct(values: Iterable[int]) -> IntMultiset:
+    """Each value once, unchecked.  The values must be distinct positive
+    integers: a repeated value is kept once, not counted twice."""
+    return IntMultiset._unchecked(dict.fromkeys(values, 1))
+
+
+def _with_counts(values: Iterable[int], counts: Iterable[int]) -> IntMultiset:
+    """Each value taken as many times as its count, unchecked; zero counts
+    drop out.  The values must be distinct positive integers and the
+    counts nonnegative integers."""
+    return IntMultiset._unchecked({v: m for v, m in zip(values, counts) if m > 0})

@@ -44,7 +44,7 @@ from itertools import accumulate, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .histories import StepType
-from .multiset import IntMultiset, _int_token, as_ints
+from .multiset import IntMultiset, _distinct, _int_token, _with_counts, as_ints
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -164,7 +164,7 @@ class Permutation:
 def iter_perms(n: int) -> Iterator[Permutation]:
     """All permutations of [n] in lexicographic order."""
     for word in _permutations(range(1, n + 1)):
-        yield Permutation._unchecked(word)
+        yield Permutation(word)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +222,6 @@ def _range_union(ranges: Iterable[tuple[int, int]], size: int) -> IntMultiset:
     return _with_counts(range(1, size + 1), accumulate(diff[1:size + 1]))
 
 
-def _with_counts(values: Iterable[int], counts: Iterable[int]) -> IntMultiset:
-    """Each value taken as many times as its count; zero counts drop out.
-    The values must be distinct positive integers."""
-    return IntMultiset._unchecked({v: m for v, m in zip(values, counts) if m > 0})
-
-
 # ---------------------------------------------------------------------------
 # Linear statistics
 # ---------------------------------------------------------------------------
@@ -267,21 +261,20 @@ def linear_family(pi: Permutation) -> LinearStatRecord:
     dt = [word[i - 1] for i in des_pos]
     db = [word[i] for i in des_pos]
     ides = [i for i in range(1, n) if pi.inverse_word[i - 1] > pi.inverse_word[i]]
-    ms, once = IntMultiset._unchecked, dict.fromkeys
     return LinearStatRecord(
-        Des=ms(once(des_pos, 1)),
-        Ides=ms(once(ides, 1)),
-        Dt=ms(once(dt, 1)),
-        Db=ms(once(db, 1)),
-        Ab=ms(once(asc_bottoms, 1)),
-        Dtb=ms(once((v for v in dt if v < last), 1)),
-        Dta=ms(once((v for v in dt if v > last), 1)),
-        Dbb=ms(once((v for v in db if v < last), 1)),
-        Dba=ms(once((v for v in db if v > last), 1)),
-        Abb=ms(once((v for v in asc_bottoms if v < last), 1)),
-        Aba=ms(once((v for v in asc_bottoms if v > last), 1)),
+        Des=_distinct(des_pos),
+        Ides=_distinct(ides),
+        Dt=_distinct(dt),
+        Db=_distinct(db),
+        Ab=_distinct(asc_bottoms),
+        Dtb=_distinct(v for v in dt if v < last),
+        Dta=_distinct(v for v in dt if v > last),
+        Dbb=_distinct(v for v in db if v < last),
+        Dba=_distinct(v for v in db if v > last),
+        Abb=_distinct(v for v in asc_bottoms if v < last),
+        Aba=_distinct(v for v in asc_bottoms if v > last),
         Ddif=_range_union(((b + 1, a + 1) for a, b in zip(dt, db)), n),
-        Dbot=ms({b: b for b in db}),
+        Dbot=_with_counts(db, db),
     )
 
 
@@ -376,25 +369,24 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     values: tuple[list[int], ...] = ([], [], [], [])
     for v, step in enumerate(cyclic_classes(pi), start=1):
         values[step].append(v)
-    ms, once = IntMultiset._unchecked, dict.fromkeys
     return CyclicStatRecord(
-        Exc=ms(once(exc, 1)),
-        Nexc=ms(once(nexc, 1)),
-        Ep=ms(once(ep, 1)),
-        Excb=ms(once((v for v in exc if v < last), 1)),
-        Exca=ms(once((v for v in exc if v > last), 1)),
-        Nexcb=ms(once((v for v in nexc if v < last), 1)),
-        Nexca=ms(once((v for v in nexc if v > last), 1)),
-        Epb=ms(once((i for i in ep if i < last), 1)),
-        Epa=ms(once((i for i in ep if i > last), 1)),
+        Exc=_distinct(exc),
+        Nexc=_distinct(nexc),
+        Ep=_distinct(ep),
+        Excb=_distinct(v for v in exc if v < last),
+        Exca=_distinct(v for v in exc if v > last),
+        Nexcb=_distinct(v for v in nexc if v < last),
+        Nexca=_distinct(v for v in nexc if v > last),
+        Epb=_distinct(i for i in ep if i < last),
+        Epa=_distinct(i for i in ep if i > last),
         Edif=_range_union(((i + 1, word[i - 1] + 1) for i in ep), n),
-        Ebot=ms({i: i for i in ep}),
+        Ebot=_with_counts(ep, ep),
         Ine=_with_counts(word, side),
         side=side,
-        Cpk=ms(once(values[_S], 1)),
-        Cval=ms(once(values[_N], 1)),
-        Cda=ms(once(values[_DE], 1)),
-        Cdd=ms(once(values[_E], 1)),
+        Cpk=_distinct(values[_S]),
+        Cval=_distinct(values[_N]),
+        Cda=_distinct(values[_DE]),
+        Cdd=_distinct(values[_E]),
     )
 
 
@@ -506,25 +498,24 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     vnex = sorted(indices[_N] + indices[_DE])
     vedif = [(i + 1, word[i - 1]) for i in ep]
     vedif.append((pone + 1, n + 1))
-    ms, once = IntMultiset._unchecked, dict.fromkeys
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
         vnest=vnest,
-        Scval=ms(once(indices[_N], 1)),
-        Scpk=ms(once(indices[_S], 1)),
-        Scda=ms(once(indices[_E], 1)),
-        Scdd=ms(once(indices[_DE], 1)),
-        Nep=ms(once(nep, 1)),
-        Vnex=ms(once(vnex, 1)),
-        Vnepb=ms(once((i for i in nep if i < pone), 1)),
-        Vnepa=ms(once((i for i in nep if i > pone), 1)),
-        Vnexb=ms(once((i for i in vnex if i < pone), 1)),
-        Vnexa=ms(once((i for i in vnex if i > pone), 1)),
-        Vepb=ms(once((i for i in ep if i < pone), 1)),
-        Vepa=ms(once((i for i in ep if i > pone), 1)),
+        Scval=_distinct(indices[_N]),
+        Scpk=_distinct(indices[_S]),
+        Scda=_distinct(indices[_E]),
+        Scdd=_distinct(indices[_DE]),
+        Nep=_distinct(nep),
+        Vnex=_distinct(vnex),
+        Vnepb=_distinct(i for i in nep if i < pone),
+        Vnepa=_distinct(i for i in nep if i > pone),
+        Vnexb=_distinct(i for i in vnex if i < pone),
+        Vnexa=_distinct(i for i in vnex if i > pone),
+        Vepb=_distinct(i for i in ep if i < pone),
+        Vepa=_distinct(i for i in ep if i > pone),
         Vedif=_range_union(vedif, n),
-        Vbot=ms({i: i for i in vnex}),
+        Vbot=_with_counts(vnex, vnex),
         Vnest=_with_counts(range(1, n + 1), vnest),
     )
 

@@ -1,19 +1,23 @@
 """The builders that skip validation against the checked constructors.
 
 ``IntMultiset._unchecked``, ``LaguerreHistory._unchecked`` and
-``Permutation._unchecked`` take their data as it is.  Each builder that
-uses them must produce what the checked constructor accepts, unchanged:
-here every such output goes back through ``IntMultiset.from_pairs``,
-``LaguerreHistory(w, c)`` or ``Permutation(word)`` and must come out
-equal, on all of S_n and all histories for n <= 7 and on Hypothesis words
-and histories of size up to 200.  An ``ast`` scan pins the functions of
-``src/`` allowed to call ``_unchecked``, so that no parser, reader or CLI
-path can drop its checks.
+``Permutation._unchecked`` take their data as it is, and so do the two
+multiset builders that the statistic records share, ``_distinct`` and
+``_with_counts``.  Each builder that uses them must produce what the
+checked constructor makes of the same data: every statistic record is
+built a second time with ``_distinct`` and ``_with_counts`` swapped for
+``IntMultiset(values)`` and ``IntMultiset.from_pairs``, and every history
+or permutation goes back through ``LaguerreHistory(w, c)`` or
+``Permutation(word)``; both must come out equal, on all of S_n and all
+histories for n <= 7 and on Hypothesis words and histories of size up to
+200.  An ``ast`` scan pins the functions of ``src/`` allowed to skip
+validation, so that no parser, reader or CLI path can drop its checks.
 """
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
+import importlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -35,7 +39,7 @@ from srlaguerre.mfs_action import (
     pattern_multisets_zero_boundary,
     starred_classes,
 )
-from srlaguerre.multiset import IntMultiset, kappa
+from srlaguerre.multiset import IntMultiset, _distinct, kappa
 from srlaguerre.perm_stats import (
     Permutation,
     avoiders,
@@ -47,10 +51,42 @@ from srlaguerre.perm_stats import (
 )
 
 SMALL = range(8)
+MODULES = sorted(Path(srlaguerre.__file__).parent.glob("*.py"))
+
+# The checked constructors that the shared unchecked builders stand for.
+# Unlike the builders, IntMultiset(values) counts a repeated value twice
+# and from_pairs rejects a negative count.
+_CHECKED = {
+    "_distinct": IntMultiset,
+    "_with_counts": lambda values, counts: IntMultiset.from_pairs(
+        (v, m) for v, m in zip(values, counts) if m != 0),
+}
+_BUILDER_MODULES = [
+    module for module in (importlib.import_module(f"srlaguerre.{path.stem}") for path in MODULES)
+    if module.__name__ != "srlaguerre.multiset" and any(hasattr(module, name) for name in _CHECKED)
+]
 
 
-def _assert_valid_multiset(ms: IntMultiset) -> None:
-    assert IntMultiset.from_pairs(ms._entries.items()) == ms
+@contextmanager
+def _checked_builders():
+    """``_distinct`` and ``_with_counts`` swapped for their checked
+    constructors in every module that reads them."""
+    saved = [(module, name, getattr(module, name))
+             for module in _BUILDER_MODULES for name in _CHECKED if hasattr(module, name)]
+    try:
+        for module, name, _ in saved:
+            setattr(module, name, _CHECKED[name])
+        yield
+    finally:
+        for module, name, builder in saved:
+            setattr(module, name, builder)
+
+
+def _assert_matches_checked_build(builders, arg) -> None:
+    shipped = [builder(arg) for builder in builders]
+    with _checked_builders():
+        checked = [builder(arg) for builder in builders]
+    assert shipped == checked
 
 
 def _assert_valid_history(hist: LaguerreHistory) -> None:
@@ -63,34 +99,20 @@ def _assert_valid_perm(pi: Permutation) -> None:
     assert Permutation(pi.word) == pi
 
 
-def _record_multisets(record) -> list[IntMultiset]:
-    values = [getattr(record, f.name) for f in fields(record)]
-    return [v for v in values if isinstance(v, IntMultiset)]
-
-
 def _check_history(w_hist: LaguerreHistory) -> None:
     _assert_valid_history(xi(w_hist))
-    record = history_statistics(w_hist)
-    multisets = _record_multisets(record)
-    assert len(multisets) == 10
-    for ms in multisets:
-        _assert_valid_multiset(ms)
+    _assert_matches_checked_build((history_statistics,), w_hist)
     _assert_valid_perm(phi_fv_inv(w_hist))
     _assert_valid_perm(phi_yzl_inv(w_hist))
 
 
-_FAMILIES = (linear_family, cyclic_family, shifted_family, starred_classes)
-_TRIPLES = (pattern_multisets, pattern_multisets_zero_boundary)
+_RECORDS = (linear_family, cyclic_family, shifted_family, starred_classes,
+            pattern_multisets, pattern_multisets_zero_boundary)
 _PERM_MAPS = (Permutation.inverse, kreweras, theta, mfs_full)
 
 
 def _check_perm(pi: Permutation) -> None:
-    for family in _FAMILIES:
-        for ms in _record_multisets(family(pi)):
-            _assert_valid_multiset(ms)
-    for triple in _TRIPLES:
-        for ms in triple(pi):
-            _assert_valid_multiset(ms)
+    _assert_matches_checked_build(_RECORDS, pi)
     for perm_map in _PERM_MAPS:
         _assert_valid_perm(perm_map(pi))
 
@@ -111,7 +133,6 @@ def test_history_builders_pass_the_checked_constructors_on_large_histories(w_his
 def test_permutation_builders_pass_the_checked_constructors_on_small_perms():
     for n in SMALL:
         for pi in iter_perms(n):
-            _assert_valid_perm(pi)
             _check_perm(pi)
 
 
@@ -138,10 +159,17 @@ _small_multisets = st.lists(
 
 @given(_small_multisets, _small_multisets)
 def test_multiset_operators_pass_the_checked_constructor(a, b):
-    total = a | b
-    _assert_valid_multiset(total)
-    _assert_valid_multiset(total - b)
-    _assert_valid_multiset(kappa(31, a))
+    assert a | b == IntMultiset(list(a) + list(b))
+    assert (a | b) - b == a
+    assert kappa(31, a) == IntMultiset(31 - v for v in a)
+
+
+def test_the_checked_build_counts_what_the_unchecked_one_collapses():
+    # A builder that fed _distinct a repeated value would differ from its
+    # checked build, so the record comparisons above would catch it.
+    assert _distinct([2, 2]) != IntMultiset([2, 2])
+    assert {module.__name__ for module in _BUILDER_MODULES} == {
+        "srlaguerre.histories", "srlaguerre.mfs_action", "srlaguerre.perm_stats"}
 
 
 @pytest.mark.parametrize("w, h, c", [
@@ -159,7 +187,8 @@ def test_xi_rejects_what_it_cannot_build(w, h, c):
 # Who may skip validation
 # ---------------------------------------------------------------------------
 
-MODULES = sorted(Path(srlaguerre.__file__).parent.glob("*.py"))
+# The names that build without validation.
+UNCHECKED = {"_unchecked", "_distinct", "_with_counts"}
 
 # Builders whose output is valid by construction, each checked above.
 ALLOWED = {
@@ -171,23 +200,27 @@ ALLOWED = {
     "histories.history_statistics",
     "involution.xi",
     "mfs_action.mfs_full",
+    "mfs_action.pattern_multisets_zero_boundary",
     "mfs_action.starred_classes",
     "multiset.IntMultiset.__or__",
     "multiset.IntMultiset.__sub__",
+    "multiset._distinct",
+    "multiset._with_counts",
     "multiset.kappa",
     "perm_stats.Permutation.inverse",
-    "perm_stats._with_counts",
+    "perm_stats._range_union",
     "perm_stats.avoiders",
     "perm_stats.cyclic_family",
-    "perm_stats.iter_perms",
     "perm_stats.linear_family",
+    "perm_stats.pattern_multisets",
     "perm_stats.shifted_family",
 }
 
 
 def _unchecked_users(source: str, module: str) -> set[str]:
-    """The qualified names of the functions that read an ``_unchecked``
-    attribute; ``<module>`` for a read outside any function."""
+    """The qualified names of the functions that read one of the
+    ``UNCHECKED`` names, as an attribute or a bare name; ``<module>`` for
+    a read outside any function."""
     users = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -195,7 +228,8 @@ def _unchecked_users(source: str, module: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
             else:
-                if isinstance(child, ast.Attribute) and child.attr == "_unchecked":
+                if (isinstance(child, ast.Attribute) and child.attr in UNCHECKED
+                        or isinstance(child, ast.Name) and child.id in UNCHECKED):
                     users.add(scope if scope != module else f"{module}.<module>")
                 visit(child, scope)
 
@@ -225,6 +259,8 @@ def test_every_use_is_found():
         "        make = cls._unchecked\n        return make(t)\n"
         "    def g(self):\n        def inner():\n            return B._unchecked(())\n"
         "        return inner()\n"
+        "def h(v):\n    return _distinct(v)\n"
+        "def k(v):\n    return m._with_counts(v, v)\n"
     )
     assert _unchecked_users(source, "m") == {
-        "m.<module>", "m.f", "m.C.from_text", "m.C.g.inner"}
+        "m.<module>", "m.f", "m.C.from_text", "m.C.g.inner", "m.h", "m.k"}
