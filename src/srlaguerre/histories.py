@@ -228,8 +228,8 @@ def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
         sides[(i >= cs) + (i > cs)][step].append(i)
     (b_n, b_e, b_de, b_s), (cs_n, _, _, _), (a_n, a_e, a_de, a_s) = sides
     # Step n ends the path at height 0, so it is E or S: Nde is N ∪ dE
-    # over all of [n].  Every multiset is a dict of distinct indices in
-    # [n] with positive multiplicities, so none is validated again.
+    # over all of [n].  Every multiset holds distinct indices in [n], and
+    # every height and weight is nonnegative, so none is validated again.
     return HistoryStatRecord(
         cs=cs,
         Neb=_distinct(b_n + b_e),

@@ -9,8 +9,6 @@ would hide bookkeeping bugs in the identities this package verifies).
 The public constructors (``IntMultiset(...)``, ``from_pairs``, ``from_text``,
 ``from_json``) validate every entry.  ``_unchecked`` is only for builders
 whose output is valid by construction, each pinned by a differential test.
-The statistic records are built by two such builders, ``_distinct`` and
-``_with_counts``, which state their preconditions once.
 """
 
 from __future__ import annotations
