@@ -1,8 +1,11 @@
 """Registry of verifiable claims about the involution and the bijections.
 
-Every claim is an exhaustive check over all weighted paths or all
-permutations of a given size; the runner reports per-size pass/fail with a
-counterexample on failure: the first failing item in canonical order.
+A claim checks one statement per weighted path or permutation of a size,
+or one per size for the moments, distributions and Mahonian tables, and
+reports the first counterexample in canonical order.  The encoding claims
+read multisets by name off records: ``_KEYS`` pairs each multiset of the
+encoded history with its linear, cyclic and shifted counterparts (a family's
+view is its column), and ``_FORMULAS`` writes each derived multiset once.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .genfun import _a_exponents, laguerre_moments
@@ -28,7 +32,7 @@ from .mfs_action import (
     pattern_multisets_zero_boundary,
     starred_classes,
 )
-from .multiset import IntMultiset, kappa
+from .multiset import ContainmentViolation, IntMultiset, kappa
 from .bijections import (
     conjugated_map,
     kreweras,
@@ -169,156 +173,120 @@ def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
 # Encoding claims
 # ---------------------------------------------------------------------------
 
-def _test_linear_correspondence(n: int, pi: Permutation) -> str | None:
-    g = history_statistics(phi_fv(pi))
-    lin = linear_family(pi)
+# Props 4.3, 4.10 and 4.17 in check order: a multiset of the encoded history
+# and the ones standing for it in the linear, cyclic and shifted families
+# (None: no counterpart).  Only Cor 3.6's images read Nde.
+_KEYS = {
+    "Sdeb": ("Sdeb", "Dtb", "Excb", "Vnepb"),
+    "Sdea": ("Sdea", "Dta", "Exca", "Vnepa"),
+    "Ndeb": ("Ndeb", "Dbb", "Epb", "Vnexb"),
+    "Ndea": ("Ndea", "Dba", "Epa", "Vnexa"),
+    "Neb": ("Neb", "Abb", "Nexcb", "Vepb"),
+    "Nea": ("Nea", "Aba", "Nexca", "Vepa"),
+    "Asc": ("Asc", "Ides", None, None),
+    "Nde": (None, "Db", "Ep", "Vnex"),
+    "Ht": ("Ht", "Ddif", "Edif", "Vedif"),
+    "Wt": ("Wt", "Dt+2-31", "Exc+Ine", "Vnepb+Vnepa+Vnest"),
+    "2-13": ("(Wt-Nea)-Sdea", "2-13", "Ine+Excb-Nexca", "Vnest+Vnepb-Vepa"),
+    "2-31": ("(Wt-Sdeb)-Sdea", "2-31", "Ine", "Vnest"),
+    "31-2": ("Ht-Wt", "31-2", "Edif-Exc-Ine", "Vedif-rest"),
+}
+_COLUMNS = [{key: names[i] for key, names in _KEYS.items() if names[i]} for i in range(4)]
+
+# The multisets no record holds.  The last letter, always a non-excedance
+# value but never an ascent bottom and outside the value reflection, is
+# removed from Nexc.
+_FORMULAS: dict[str, Callable[[dict], IntMultiset]] = {
+    "(Wt-Nea)-Sdea": lambda r: (r["Wt"] - r["Nea"]) - r["Sdea"],
+    "(Wt-Sdeb)-Sdea": lambda r: (r["Wt"] - r["Sdeb"]) - r["Sdea"],
+    "Ht-Wt": lambda r: r["Ht"] - r["Wt"],
+    "Dt+2-31": lambda r: r["Dt"] | r["2-31"],
+    "Exc+Ine": lambda r: r["Exc"] | r["Ine"],
+    "Ine+Excb-Nexca": lambda r: (r["Ine"] | r["Excb"]) - r["Nexca"],
+    "Edif-Exc-Ine": lambda r: (r["Edif"] - r["Exc"]) - r["Ine"],
+    "Nexc-last": lambda r: r["Nexc"] - IntMultiset([r["last"]]),
+    "Vnepb+Vnepa+Vnest": lambda r: r["Vnepb"] | r["Vnepa"] | r["Vnest"],
+    "Vnest+Vnepb-Vepa": lambda r: (r["Vnest"] | r["Vnepb"]) - r["Vepa"],
+    "Vedif-rest": lambda r: ((r["Vedif"] - r["Vnepb"]) - r["Vnepa"]) - r["Vnest"],
+}
+
+
+def _rows(triples: Iterable[tuple[str, str, str]]) -> list[tuple]:
+    """(label, name, name) rows, each name made a reader of a record of
+    multisets by name: its formula, or the record's entry."""
+    return [(label, *(_FORMULAS.get(name) or itemgetter(name) for name in names))
+            for label, *names in triples]
+
+
+# A view is a family's column with its record.  The records, like the
+# claims' encoders, look functions up when they run, so a rebinding of a
+# module global reaches them.
+def _linear(pi: Permutation) -> dict:
     m13, m31, m312 = pattern_multisets(pi)
-    if pi.value(n) != g.cs:
-        return f"{pi.to_text()}: last letter != critical step"
-    checks = [
-        ("Dtb", lin.Dtb, g.Sdeb),
-        ("Dta", lin.Dta, g.Sdea),
-        ("Dbb", lin.Dbb, g.Ndeb),
-        ("Dba", lin.Dba, g.Ndea),
-        ("Abb", lin.Abb, g.Neb),
-        ("Aba", lin.Aba, g.Nea),
-        ("Ides", lin.Ides, g.Asc),
-        ("Ddif", lin.Ddif, g.Ht),
-        ("Dt+2-31", lin.Dt | m31, g.Wt),
-        ("2-13", m13, (g.Wt - g.Nea) - g.Sdea),
-        ("2-31", m31, (g.Wt - g.Sdeb) - g.Sdea),
-        ("31-2", m312, g.Ht - g.Wt),
-    ]
-    return _first_mismatch(pi, checks)
+    return {**vars(linear_family(pi)), "2-13": m13, "2-31": m31, "31-2": m312}
 
 
-def _test_linear_conjugate(n: int, pi: Permutation) -> str | None:
-    sigma = conjugated_map(pi, "phi")
-    lp, ls = linear_family(pi), linear_family(sigma)
-    mp, ms = pattern_multisets(pi), pattern_multisets(sigma)
-    checks = [
-        ("Dtb", lp.Dtb, _kap(n, ls.Aba)),
-        ("Dta", lp.Dta, _kap(n, ls.Abb)),
-        ("Abb", lp.Abb, _kap(n, ls.Dta)),
-        ("Aba", lp.Aba, _kap(n, ls.Dtb)),
-        ("2-13", mp[0], _kap(n, ms[1])),
-        ("2-31", mp[1], _kap(n, ms[0])),
-        ("31-2", mp[2], _kap(n, ms[2])),
-        ("Db", _full_range(n) - lp.Db, kappa(n, ls.Db)),
-        ("Ides", _full_range(n) - lp.Ides, kappa(n, ls.Ides)),
-    ]
-    return _first_mismatch(pi, checks)
+_LINEAR = (_COLUMNS[1], _linear)
+_CYCLIC = (_COLUMNS[2], lambda pi: {**vars(cyclic_family(pi)), "last": pi.value(pi.n)})
+_SHIFTED = (_COLUMNS[3], lambda pi: vars(shifted_family(pi)))
 
 
-def _test_cyclic_correspondence(n: int, pi: Permutation) -> str | None:
-    g = history_statistics(phi_fz(pi))
-    cyc = cyclic_family(pi)
-    if pi.value(n) != g.cs:
-        return f"{pi.to_text()}: last letter != critical step"
-    checks = [
-        ("Excb", cyc.Excb, g.Sdeb),
-        ("Exca", cyc.Exca, g.Sdea),
-        ("Epb", cyc.Epb, g.Ndeb),
-        ("Epa", cyc.Epa, g.Ndea),
-        ("Nexcb", cyc.Nexcb, g.Neb),
-        ("Nexca", cyc.Nexca, g.Nea),
-        ("Edif", cyc.Edif, g.Ht),
-        ("Exc+Ine", cyc.Exc | cyc.Ine, g.Wt),
-        ("Ine+Excb-Nexca", (cyc.Ine | cyc.Excb) - cyc.Nexca,
-         (g.Wt - g.Nea) - g.Sdea),
-        ("Ine", cyc.Ine, (g.Wt - g.Sdeb) - g.Sdea),
-        ("Edif-Exc-Ine", (cyc.Edif - cyc.Exc) - cyc.Ine, g.Ht - g.Wt),
-    ]
-    return _first_mismatch(pi, checks)
+def _correspondence(encoding: str, view, last_is_critical: bool = True):
+    """Props 4.3, 4.10, 4.17: the view against the encoded history."""
+    labels, record = view
+    rows = _rows((labels[key], labels[key], name)
+                 for key, name in _COLUMNS[0].items() if key in labels)
+
+    def test(n: int, pi: Permutation) -> str | None:
+        g = vars(history_statistics(globals()[encoding](pi)))
+        r = record(pi)
+        if last_is_critical and pi.value(n) != g["cs"]:
+            return f"{pi.to_text()}: last letter != critical step"
+        return _first_mismatch(pi, [(label, a(r), b(g)) for label, a, b in rows])
+
+    return test
+
+
+# Cor 3.6 through an encoding: a key on a permutation against a key on its
+# conjugate, then the keys complemented in [n-1].
+_KAPPA_PAIRS = (("Sdeb", "Nea"), ("Sdea", "Neb"), ("Neb", "Sdea"), ("Nea", "Sdeb"),
+                ("2-13", "2-31"), ("2-31", "2-13"), ("31-2", "31-2"))
+
+
+def _conjugate(which: str, view, head: tuple = (), pairs=_KAPPA_PAIRS):
+    """Cor 3.6 through the conjugated map (Cor 4.4, the eta and rho corollaries).
+    The eta corollary's head rows, Exc and Nexc, replace the one-sided pairs."""
+    labels, record = view
+    rows = _rows(head + tuple((labels[a], labels[a], labels[b]) for a, b in pairs))
+    complements = _rows((labels[key],) * 3 for key in ("Nde", "Asc") if key in labels)
+
+    def test(n: int, pi: Permutation) -> str | None:
+        p, s = record(pi), record(conjugated_map(pi, which))
+        return _first_mismatch(pi, [(label, a(p), _kap(n, b(s))) for label, a, b in rows] + [
+            (label, _full_range(n) - a(p), kappa(n, b(s))) for label, a, b in complements])
+
+    return test
+
+
+# The linear multisets of pi and the cyclic ones of phi_csz(pi) they equal.
+_CSZ_ROWS = _rows((
+    ("Dt/Exc", "Dt", "Exc"), ("Db/Ep", "Db", "Ep"), ("Ab/Nexc", "Ab", "Nexc-last"),
+    *((key, _COLUMNS[1][key], _COLUMNS[2][key]) for key in ("2-13", "2-31", "31-2")),
+    ("Dbot/Ebot", "Dbot", "Ebot"), ("Ddif/Edif", "Ddif", "Edif")))
 
 
 def _test_csz_transport(n: int, pi: Permutation) -> str | None:
     sigma = phi_csz(pi)
-    lin = linear_family(pi)
-    m13, m31, m312 = pattern_multisets(pi)
-    cyc = cyclic_family(sigma)
+    lin, cyc = _linear(pi), _CYCLIC[1](sigma)
     if pi.value(n) != sigma.value(n):
         return f"{pi.to_text()}: last letters differ"
-    # The last letter is always a non-excedance value but never an ascent
-    # bottom, so it is removed from Nexc before comparing.
-    checks = [
-        ("Dt/Exc", lin.Dt, cyc.Exc),
-        ("Db/Ep", lin.Db, cyc.Ep),
-        ("Ab/Nexc", lin.Ab, cyc.Nexc - IntMultiset([sigma.value(n)])),
-        ("2-13", m13, (cyc.Ine | cyc.Excb) - cyc.Nexca),
-        ("2-31", m31, cyc.Ine),
-        ("31-2", m312, (cyc.Edif - cyc.Exc) - cyc.Ine),
-        ("Dbot/Ebot", lin.Dbot, cyc.Ebot),
-        ("Ddif/Edif", lin.Ddif, cyc.Edif),
-    ]
-    return _first_mismatch(pi, checks)
-
-
-def _test_cyclic_conjugate(n: int, pi: Permutation) -> str | None:
-    sigma = conjugated_map(pi, "eta")
-    cp, cs = cyclic_family(pi), cyclic_family(sigma)
-    p13 = (cp.Ine | cp.Excb) - cp.Nexca
-    s13 = (cs.Ine | cs.Excb) - cs.Nexca
-    # The last letter, always a non-excedance value, falls outside the
-    # value reflection and is removed from Nexc on both sides.
-    checks = [
-        ("Exc", cp.Exc, _kap(n, cs.Nexc - IntMultiset([sigma.value(n)]))),
-        ("Nexc", cp.Nexc - IntMultiset([pi.value(n)]), _kap(n, cs.Exc)),
-        ("Ine+Excb-Nexca", p13, _kap(n, cs.Ine)),
-        ("Ine", cp.Ine, _kap(n, s13)),
-        ("Edif-Exc-Ine", (cp.Edif - cp.Exc) - cp.Ine,
-         _kap(n, (cs.Edif - cs.Exc) - cs.Ine)),
-        ("Ep", _full_range(n) - cp.Ep, kappa(n, cs.Ep)),
-    ]
-    return _first_mismatch(pi, checks)
-
-
-def _test_shifted_correspondence(n: int, pi: Permutation) -> str | None:
-    g = history_statistics(phi_yzl(pi))
-    sh = shifted_family(pi)
-    checks = [
-        ("Vnepb", sh.Vnepb, g.Sdeb),
-        ("Vnepa", sh.Vnepa, g.Sdea),
-        ("Vnexb", sh.Vnexb, g.Ndeb),
-        ("Vnexa", sh.Vnexa, g.Ndea),
-        ("Vepb", sh.Vepb, g.Neb),
-        ("Vepa", sh.Vepa, g.Nea),
-        ("Vedif", sh.Vedif, g.Ht),
-        ("Vnepb+Vnepa+Vnest", sh.Vnepb | sh.Vnepa | sh.Vnest, g.Wt),
-        ("Vnest+Vnepb-Vepa", (sh.Vnest | sh.Vnepb) - sh.Vepa,
-         (g.Wt - g.Nea) - g.Sdea),
-        ("Vnest", sh.Vnest, (g.Wt - g.Sdeb) - g.Sdea),
-        ("Vedif-rest", ((sh.Vedif - sh.Vnepb) - sh.Vnepa) - sh.Vnest,
-         g.Ht - g.Wt),
-    ]
-    return _first_mismatch(pi, checks)
+    return _first_mismatch(pi, [(label, a(lin), b(cyc)) for label, a, b in _CSZ_ROWS])
 
 
 def _test_critical_is_pone(n: int, pi: Permutation) -> str | None:
     if critical_step(phi_yzl(pi)) != pi.position(1):
         return f"{pi.to_text()}: critical step != position of 1"
     return None
-
-
-def _test_shifted_conjugate(n: int, pi: Permutation) -> str | None:
-    sigma = conjugated_map(pi, "rho")
-    sp, ss = shifted_family(pi), shifted_family(sigma)
-
-    def rest(s):
-        return ((s.Vedif - s.Vnepb) - s.Vnepa) - s.Vnest
-
-    checks = [
-        ("Vnepb", sp.Vnepb, _kap(n, ss.Vepa)),
-        ("Vnepa", sp.Vnepa, _kap(n, ss.Vepb)),
-        ("Vepb", sp.Vepb, _kap(n, ss.Vnepa)),
-        ("Vepa", sp.Vepa, _kap(n, ss.Vnepb)),
-        ("Vnest+Vnepb-Vepa", (sp.Vnest | sp.Vnepb) - sp.Vepa,
-         _kap(n, ss.Vnest)),
-        ("Vnest", sp.Vnest, _kap(n, (ss.Vnest | ss.Vnepb) - ss.Vepa)),
-        ("Vedif-rest", rest(sp), _kap(n, rest(ss))),
-        ("Vnex", _full_range(n) - sp.Vnex, kappa(n, ss.Vnex)),
-    ]
-    return _first_mismatch(pi, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +309,7 @@ def _test_valley_hopping(n: int, pi: Permutation) -> str | None:
     star = starred_classes(pi)
     try:
         expected = (mp[1] | star.Ldd) - star.Lda
-    except Exception as exc:
+    except ContainmentViolation as exc:
         return f"{pi.to_text()}: {exc}"
     if ms[1] != expected:
         return f"{pi.to_text()}: boundary 2-31 multiset mismatch"
@@ -533,10 +501,10 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               "histories", _test_exponent_symmetry),
     ClaimSpec("prop4.3",
               "linear statistics transported by the value-class encoding",
-              "perms", _test_linear_correspondence),
+              "perms", _correspondence("phi_fv", _LINEAR)),
     ClaimSpec("cor4.4",
               "linear statistics reflected by the conjugated involution",
-              "perms", _test_linear_conjugate),
+              "perms", _conjugate("phi", _LINEAR)),
     ClaimSpec("eq14",
               "joint symmetry of (31-2, 2-13, 2-31, des, ides)",
               "whole", _counter_claim(
@@ -572,23 +540,25 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               "perms", _test_extrema_counting),
     ClaimSpec("prop4.10",
               "cyclic statistics transported by the excedance-class encoding",
-              "perms", _test_cyclic_correspondence),
+              "perms", _correspondence("phi_fz", _CYCLIC)),
     ClaimSpec("csz-corollary",
               "linear-to-cyclic statistic transport along the composed"
               " encoding",
               "perms", _test_csz_transport),
     ClaimSpec("eta-corollary",
               "cyclic statistics reflected by the conjugated involution",
-              "perms", _test_cyclic_conjugate),
+              "perms", _conjugate("eta", _CYCLIC, (("Exc", "Exc", "Nexc-last"),
+                                                   ("Nexc", "Nexc-last", "Exc")),
+                                  _KAPPA_PAIRS[4:])),
     ClaimSpec("prop4.17",
               "shifted statistics transported by the nesting encoding",
-              "perms", _test_shifted_correspondence),
+              "perms", _correspondence("phi_yzl", _SHIFTED, last_is_critical=False)),
     ClaimSpec("lem4.14",
               "the critical step equals the position of the letter 1",
               "perms", _test_critical_is_pone),
     ClaimSpec("rho-corollary",
               "shifted statistics reflected by the conjugated involution",
-              "perms", _test_shifted_conjugate),
+              "perms", _conjugate("rho", _SHIFTED)),
     ClaimSpec("tab2-mahonian",
               "the eighteen closed-form statistics are Mahonian",
               "whole", _mahonian_claim((

@@ -29,25 +29,14 @@ class MultiPoly:
 
     ``variables`` is the ordered tuple of names; ``terms`` maps exponent
     tuples (one entry per variable, possibly negative) to nonzero integer
-    coefficients.
+    coefficients.  A polynomial starts at zero and grows by ``add_term``.
     """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        terms: Mapping[tuple[int, ...], int] | None = None,
-    ):
+    def __init__(self, variables: Sequence[str]):
         self.variables = tuple(variables)
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != len(self.variables):
-                raise ValueError("exponent tuple length mismatch")
-            if coeff:
-                clean[exps] = coeff
-        self.terms = clean
+        self.terms: dict[tuple[int, ...], int] = {}
 
     def add_term(self, exps: tuple[int, ...], coeff: int = 1) -> None:
         if len(exps) != len(self.variables):

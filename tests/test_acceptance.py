@@ -34,9 +34,6 @@ from srlaguerre.involution import XI_TABLE, xi_table_coverage
 from srlaguerre.mfs_action import mfs_full
 from srlaguerre.perm_stats import Permutation, iter_perms
 
-THREADS = 4
-
-
 def _report(number: int, ok: bool, detail: str, start: float) -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
@@ -48,7 +45,7 @@ def _report(number: int, ok: bool, detail: str, start: float) -> None:
 def _claims_pass(pairs: list[tuple[str, int]]) -> tuple[bool, str]:
     for claim, n_max in pairs:
         for n in range(1, n_max + 1):
-            outcome = run_claim(claim, n, threads=THREADS)
+            outcome = run_claim(claim, n)
             if outcome.status != "pass":
                 return False, f"{claim} n={n}: {outcome.counterexample}"
     return True, ""

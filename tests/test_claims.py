@@ -21,7 +21,9 @@ from srlaguerre.bijections import (
 from srlaguerre.claims import run_claim
 from srlaguerre.cli import main
 from srlaguerre.histories import NE_STEPS, LaguerreHistory, StepType
-from srlaguerre.perm_stats import iter_perms
+from srlaguerre.mfs_action import StarredClasses
+from srlaguerre.multiset import IntMultiset
+from srlaguerre.perm_stats import iter_perms, trivial_bijection
 
 
 def _first_failure(claim_id: str) -> tuple:
@@ -45,6 +47,12 @@ PINNED = [
     ("phi_fv", phi_fz, [
         ("prop4.3", 3, 3, "2,3,1: Dta: {3} != {2,3}"),
     ]),
+    ("phi_fz", phi_fv, [
+        ("prop4.10", 3, 3, "2,3,1: Exca: {2,3} != {3}"),
+    ]),
+    ("phi_yzl", phi_fz, [
+        ("prop4.17", 2, 0, "1,2: Vnepa: {2} != {}"),
+    ]),
     ("trivial_bijection", lambda pi, which: pi, [
         ("thm4.20", 2, 0, "1,2: mad_p/sist_pp: 1 != 0"),
         ("eq34", 3, 1, "1,3,2: yzl2 != inv_p of reverse-complement-inverse"),
@@ -53,6 +61,11 @@ PINNED = [
         ("cor4.4", 2, 0, "1,2: Dta: {} != {2}"),
         ("eta-corollary", 2, 0, "1,2: Exc: {} != {2}"),
         ("rho-corollary", 2, 0, "1,2: Vnepa: {2} != {}"),
+    ]),
+    # The complement passes cor4.4's first row at n = 3, so the text of a
+    # later row is pinned too.
+    ("conjugated_map", lambda pi, which: trivial_bijection(pi, "c"), [
+        ("cor4.4", 3, 1, "1,3,2: 31-2: {} != {2}"),
     ]),
     ("phi_csz", lambda pi: pi, [
         ("csz-corollary", 3, 3, "2,3,1: Dt/Exc: {3} != {2,3}"),
@@ -63,12 +76,38 @@ PINNED = [
 ]
 
 
+def _pin_ids(rows) -> list[str]:
+    """Each row's patched name; a name patched again is suffixed with the
+    first claim its row pins."""
+    seen: set[str] = set()
+    ids = []
+    for name, _, expected in rows:
+        ids.append(f"{name}-{expected[0][0]}" if name in seen else name)
+        seen.add(name)
+    return ids
+
+
 @pytest.mark.parametrize("name, replacement, expected", PINNED,
-                         ids=[row[0] for row in PINNED])
+                         ids=_pin_ids(PINNED))
 def test_counterexample_strings_are_pinned(monkeypatch, name, replacement,
                                            expected):
     monkeypatch.setattr(claims, name, replacement)
     assert [_first_failure(row[0]) for row in expected] == expected
+
+
+def test_valley_hopping_reports_only_containment_failures(monkeypatch):
+    """thm4.6 turns a starred class that does not fit into a counterexample,
+    but lets a programming error propagate."""
+    big = IntMultiset(range(1, 9))
+    monkeypatch.setattr(claims, "starred_classes",
+                        lambda pi: StarredClasses(big, big, big, IntMultiset()))
+    outcome = run_claim("thm4.6", 3)
+    assert (outcome.status, outcome.checked, outcome.counterexample) == (
+        "fail", 0, "1,2,3: difference would give value 3 a negative multiplicity")
+    monkeypatch.setattr(claims, "starred_classes",
+                        lambda pi: StarredClasses(None, None, None, None))
+    with pytest.raises(AttributeError):
+        run_claim("thm4.6", 3)
 
 
 def test_threads_option_starts_no_thread(monkeypatch, capsys):
