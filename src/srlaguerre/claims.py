@@ -44,6 +44,7 @@ from .bijections import (
 )
 from .perm_stats import (
     Permutation,
+    _one_glue_counts,
     avoiders,
     cyclic_family,
     iter_perms,
@@ -332,13 +333,8 @@ def _test_extrema_counting(n: int, pi: Permutation) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _stat_bundle(pi: Permutation) -> tuple[int, int, int, int, int]:
-    return (
-        vincular_count(pi, "u31_2"),
-        vincular_count(pi, "2u13"),
-        vincular_count(pi, "2u31"),
-        statistic("des")(pi),
-        statistic("ides")(pi),
-    )
+    g = _one_glue_counts(pi.word)
+    return (g["u31_2"], g["2u13"], g["2u31"], statistic("des")(pi), statistic("ides")(pi))
 
 
 def _counter_claim(
@@ -401,30 +397,21 @@ def _test_complement_transport(n: int, pi: Permutation) -> str | None:
 
 
 def _test_pattern_sum_identity_a(n: int, pi: Permutation) -> str | None:
-    lhs = vincular_count(pi, "2u13") + vincular_count(pi, "u12")
-    rhs = vincular_count(pi, "2u31") + pi.value(n) - 1
+    g = _one_glue_counts(pi.word)
+    lhs = g["2u13"] + vincular_count(pi, "u12")
+    rhs = g["2u31"] + pi.value(n) - 1
     if lhs != rhs:
         return f"{pi.to_text()}: {lhs} != {rhs}"
     return None
 
 
 def _test_pattern_sum_identity_b(n: int, pi: Permutation) -> str | None:
+    g = _one_glue_counts(pi.word)
     des = statistic("des")(pi)
-    lhs = (
-        vincular_count(pi, "3u12")
-        + vincular_count(pi, "u12_3")
-        + vincular_count(pi, "2u13")
-        + vincular_count(pi, "u13_2")
-        + vincular_count(pi, "u12")
-        + n * des
-    )
-    rhs = (
-        vincular_count(pi, "1u32")
-        + vincular_count(pi, "u32_1")
-        + vincular_count(pi, "2u31")
-        + vincular_count(pi, "u31_2")
-        + 2 * vincular_count(pi, "u21")
-    )
+    lhs = (g["3u12"] + g["u12_3"] + g["2u13"] + g["u13_2"]
+           + vincular_count(pi, "u12") + n * des)
+    rhs = (g["1u32"] + g["u32_1"] + g["2u31"] + g["u31_2"]
+           + 2 * vincular_count(pi, "u21"))
     if lhs - rhs != n * (n - 3) // 2 + pi.value(n):
         return f"{pi.to_text()}: {lhs - rhs} != {n * (n - 3) // 2 + pi.value(n)}"
     return None
@@ -617,13 +604,15 @@ def get_claim(claim_id: str) -> ClaimSpec:
 
 
 def run_claim(claim_id: str, n: int, threads: int = 1) -> ClaimOutcome:
-    """Run one claim exhaustively at size n, stopping at the first
+    """Run one claim exhaustively at size n >= 1, stopping at the first
     counterexample in canonical order.
 
     ``threads`` is accepted for compatibility and ignored: every sweep
     runs serially in the calling thread.
     """
     spec = get_claim(claim_id)
+    if n < 1:
+        raise ValueError(f"claims are stated for n >= 1, got n = {n}")
     start = time.monotonic()
     checked = 0
     counterexample = None

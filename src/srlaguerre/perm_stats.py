@@ -17,14 +17,15 @@ these numbers has one definition.  All ingredients of a word are computed
 together and cached per word.
 
 The inversion-type counts (the coordinate counts, side numbers, nesting
-numbers, inversions and one-glue pattern counts) are each one sweep that
-keeps the letters seen so far in a sorted list: ``bisect`` counts the
-letters below a value and ``insort`` adds one.  A sweep makes O(n log n)
-comparisons plus n list insertions, whose element moves are O(n^2) in the
-worst case but done in C by memmove.  Measured on one 2-vCPU Xeon with
-Python 3.11, this is no slower than a Fenwick tree up to n = 3,000 on
-random and monotone words, and slower on monotone words from about
-n = 10,000, where a sweep may insert every letter at the front of its list.
+numbers, inversions, and all twelve length-3 one-glue pattern counts at
+once) are each one sweep that keeps the letters seen so far in a sorted
+list: ``bisect`` counts the letters below a value and ``insort`` adds one.
+A sweep makes O(n log n) comparisons plus n list insertions, whose element
+moves are O(n^2) in the worst case but done in C by memmove.  Measured on
+one 2-vCPU Xeon with Python 3.11, this is no slower than a Fenwick tree up
+to n = 3,000 on random and monotone words, and slower on monotone words
+from about n = 10,000, where a sweep may insert every letter at the front
+of its list.
 
 Costs for a permutation of size n: the linear family is O(n), and the
 cyclic and shifted families cost one sweep each, for the side numbers and
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -589,37 +590,46 @@ def _des(word: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
-def _count3_one_glue(word: tuple[int, ...], values: tuple[int, ...], glue: int) -> int:
-    """Length-3 pattern with a single glued pair.
+def _one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
+    """The twelve length-3 patterns with one glued pair, in one sweep.
 
-    The glued pair sits at host positions j, j+1.  The free letter is
-    counted among the letters before j (pattern glued at 2) or after j+1
-    (glued at 1) by its rank against the pair, by bisecting a sorted list
-    of the letters before j: the letters of a rank after the pair are all
-    letters of that rank less those before it.  O(n log n) comparisons plus
-    insertions whose moves are O(n^2) in the worst case, done in C.
+    For the pair at host positions j, j+1, two bisections of a sorted list
+    of the letters before j count those below, between and above it; the
+    letters of a rank after the pair are all letters of that rank less
+    those before it.  A pattern glued at 2 (``1u23``) takes its free letter
+    before the pair, one glued at 1 (``u23_1``) after it.
     """
-    a, b, c = values
-    rising = b < c if glue == 2 else a < b
-    rank = a if glue == 2 else c
-    after = glue == 1
     n = len(word)
+    # Over the rising pairs, then the falling ones: the letters before a
+    # pair below, between and above it, the pairs, and their low and high
+    # letters summed.
+    r1 = r2 = r3 = rises = r_lo = r_hi = 0
+    f1 = f2 = f3 = falls = f_lo = f_hi = 0
     seen: list[int] = []
-    total = 0
     for j in range(n - 1):
         x, y = word[j], word[j + 1]
-        if (x < y) == rising:
-            lo, hi = (x, y) if x < y else (y, x)
-            if rank == 1:
-                before, of_rank = bisect_left(seen, lo), lo - 1
-            elif rank == 2:
-                before = bisect_left(seen, hi) - bisect_left(seen, lo)
-                of_rank = hi - lo - 1
-            else:
-                before, of_rank = j - bisect_left(seen, hi), n - hi
-            total += of_rank - before if after else before
+        if x < y:
+            below, upto = bisect_left(seen, x), bisect_left(seen, y)
+            r1, r2, r3 = r1 + below, r2 + upto - below, r3 + j - upto
+            rises, r_lo, r_hi = rises + 1, r_lo + x, r_hi + y
+        else:
+            below, upto = bisect_left(seen, y), bisect_left(seen, x)
+            f1, f2, f3 = f1 + below, f2 + upto - below, f3 + j - upto
+            falls, f_lo, f_hi = falls + 1, f_lo + y, f_hi + x
         insort(seen, x)
-    return total
+    # A pair (lo, hi) has lo - 1, hi - lo - 1 and n - hi letters of the
+    # three ranks in all.
+    return {
+        "1u23": r1, "2u13": r2, "3u12": r3, "1u32": f1, "2u31": f2, "3u21": f3,
+        "u23_1": r_lo - rises - r1, "u32_1": f_lo - falls - f1,
+        "u13_2": r_hi - r_lo - rises - r2, "u31_2": f_hi - f_lo - falls - f2,
+        "u12_3": n * rises - r_hi - r3, "u21_3": n * falls - f_hi - f3,
+    }
+
+
+# Each one-glue length-3 pattern, whatever its spelling, by its literal
+# among the counts of ``_one_glue_counts``.
+_ONE_GLUE = {parse_vincular(literal): literal for literal in _one_glue_counts(())}
 
 
 def _count_generic(word: tuple[int, ...], values: tuple[int, ...], glued: frozenset[int]) -> int:
@@ -653,7 +663,11 @@ def _count_generic(word: tuple[int, ...], values: tuple[int, ...], glued: frozen
 
 
 def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
-    """Number of occurrences of a vincular pattern in pi."""
+    """Number of occurrences of a vincular pattern in pi.
+
+    A length-3 pattern with one glued pair, whatever its spelling (``2u31``
+    or ``2_u31``), is read off ``_one_glue_counts``.
+    """
     if isinstance(pattern, str):
         pattern = parse_vincular(pattern)
     word = pi.word
@@ -668,8 +682,8 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
             return des if values == (2, 1) else max(n - 1, 0) - des
         inversions = _inversions(word)
         return inversions if values == (2, 1) else n * (n - 1) // 2 - inversions
-    if k == 3 and len(glued) == 1:
-        return _count3_one_glue(word, values, next(iter(glued)))
+    if pattern in _ONE_GLUE:
+        return _one_glue_counts(word)[_ONE_GLUE[pattern]]
     return _count_generic(word, values, glued)
 
 
@@ -735,13 +749,6 @@ def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMul
 # ---------------------------------------------------------------------------
 # Mahonian statistic registry
 # ---------------------------------------------------------------------------
-
-def _one_glue_kernel(literal: str) -> Callable[[tuple[int, ...]], int]:
-    """``_count3_one_glue`` bound to a pattern literal parsed once."""
-    pattern = parse_vincular(literal)
-    (glue,) = pattern.glued
-    return partial(_count3_one_glue, values=pattern.values, glue=glue)
-
 
 def _dbot(word: tuple[int, ...]) -> int:
     """|Dbot|: each descent bottom b counted b times."""
@@ -809,9 +816,6 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     "last": _last,
     "pone": _pone,
     "u21": _des,
-    **{literal: _one_glue_kernel(literal) for literal in (
-        "1u32", "2u31", "2u13", "3u21", "3u12",
-        "u23_1", "u31_2", "u32_1", "u13_2", "u21_3")},
     "dbot": _dbot,
     "ddif": _ddif,
     "exc": _exc,
@@ -829,14 +833,17 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
 
 @lru_cache(maxsize=4096)
 def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
-    """Every ingredient value of a word.
+    """Every ingredient value of a word: the twelve one-glue counts of one
+    sweep and one value per kernel.
 
     All kernels run on a miss, so a miss costs the same whichever
     statistic asked for it.  The cache serves callers that evaluate several
     statistics of one permutation through separate calls, as
     joint_distribution does.
     """
-    return {name: kernel(word) for name, kernel in _KERNELS.items()}
+    g = _one_glue_counts(word)
+    g.update((name, kernel(word)) for name, kernel in _KERNELS.items())
+    return g
 
 
 class MahonianFormula(NamedTuple):

@@ -18,7 +18,7 @@ from srlaguerre.bijections import (
     phi_yzl,
     phi_yzl_inv,
 )
-from srlaguerre.claims import run_claim
+from srlaguerre.claims import claim_ids, run_claim
 from srlaguerre.cli import main
 from srlaguerre.histories import NE_STEPS, LaguerreHistory, StepType
 from srlaguerre.mfs_action import StarredClasses
@@ -93,6 +93,18 @@ def test_counterexample_strings_are_pinned(monkeypatch, name, replacement,
                                            expected):
     monkeypatch.setattr(claims, name, replacement)
     assert [_first_failure(row[0]) for row in expected] == expected
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sizes_below_one_are_rejected_before_any_sweep(monkeypatch, n):
+    def refuse(size):
+        raise AssertionError("a sweep started")
+
+    for source in claims._ITEMS:
+        monkeypatch.setitem(claims._ITEMS, source, refuse)
+    for claim in claim_ids():
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            run_claim(claim, n)
 
 
 def test_valley_hopping_reports_only_containment_failures(monkeypatch):
@@ -236,9 +248,33 @@ def _side_numbers_of_excedances_only(word):
     return tuple(side)
 
 
-# The shared sweeps feed the families, the encodings and the Mahonian
-# ingredients together; each mutant must fail a claim through its comparison
-# (first failure at n <= 5, no exception).
+_one_glue_counts = perm_stats._one_glue_counts
+
+
+def _one_glue_between_after_off_by_one(word):
+    """``perm_stats._one_glue_counts`` with hi - lo letters, not hi - lo - 1,
+    between a pair (lo, hi) in all, so u13_2 and u31_2 gain one per pair."""
+    g = _one_glue_counts(word)
+    ascents = sum(1 for a, b in zip(word, word[1:]) if a < b)
+    g["u13_2"] += ascents
+    g["u31_2"] += len(word) - 1 - ascents
+    return g
+
+
+def _one_glue_before_directions_swapped(word):
+    """``perm_stats._one_glue_counts`` with the rising and falling sums of
+    the letters before a pair swapped: 1u23, 2u13, 3u12 trade counts with
+    1u32, 2u31, 3u21."""
+    g = _one_glue_counts(word)
+    for rising, falling in (("1u23", "1u32"), ("2u13", "2u31"), ("3u12", "3u21")):
+        g[rising], g[falling] = g[falling], g[rising]
+    return g
+
+
+# The shared sweeps feed the families, the encodings, the Mahonian
+# ingredients and the pattern-sum claims together; each mutant must fail a
+# claim through its comparison (first failure at n <= 5, no exception).  A
+# mutant replaces every binding of its function, since claims imports one.
 SWEEP_MUTANTS = [
     ("_variant_nesting", _variant_nesting_without_decrement, {
         "eq34": (3, "3,2,1: yzl1 != den_p of reverse-complement-inverse"),
@@ -251,6 +287,18 @@ SWEEP_MUTANTS = [
     ("_side_numbers", _side_numbers_of_excedances_only, {
         "eq34": (3, "3,2,1: yzl1 != den_p of reverse-complement-inverse"),
         "tab3-mahonian": (3, "den is not Mahonian at n=3"),
+    }),
+    ("_one_glue_counts", _one_glue_between_after_off_by_one, {
+        "tab3-mahonian": (2, "inv is not Mahonian at n=2"),
+        "eq14": (2, "distributions differ near ((0, 0, 0, 0, 0), 1)"),
+        "lem4.22": (2, "1,2: 2 != 1"),
+    }),
+    # Swapping 2-13 with 2-31 on both sides of eq14 leaves it true, so only
+    # the identities that read the before-side counts one by one see it.
+    ("_one_glue_counts", _one_glue_before_directions_swapped, {
+        "tab3-mahonian": (3, "maj is not Mahonian at n=3"),
+        "eq14": (None, None),
+        "lem4.22": (3, "1,2,3: 2 != 3"),
     }),
 ]
 
@@ -268,6 +316,6 @@ def fresh_ingredients():
                          ids=[row[1].__name__.lstrip("_") for row in SWEEP_MUTANTS])
 def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
                                               name, mutant, expected):
-    monkeypatch.setattr(perm_stats, name, mutant)
+    _patch_everywhere(monkeypatch, getattr(perm_stats, name), mutant)
     got = {claim: _first_failure(claim)[1::2] for claim in expected}
     assert got == expected

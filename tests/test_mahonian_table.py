@@ -3,7 +3,7 @@
 ``_reference_ingredients`` and ``_reference_value`` are the registry as it
 was before the table: every ingredient read off the O(n^2) pattern counters
 that ``vincular_count`` used then and the three statistic families, and one
-branch per statistic.  The table, its per-ingredient kernels and
+branch per statistic.  The table, every ingredient it computes and
 ``vincular_count`` must agree with them on all of S_n for small n and on
 seeded random permutations of size 50 and 300.  Two rows, yzl2_p and
 yzl4_p, are pinned pointwise to inv and fz4.  The perturbation test
@@ -17,7 +17,7 @@ import pytest
 
 from srlaguerre.claims import run_claim
 from srlaguerre.perm_stats import (
-    _KERNELS,
+    _ingredients,
     MAHONIAN_NAMES,
     MAHONIAN_TABLE,
     Permutation,
@@ -32,7 +32,7 @@ from srlaguerre.perm_stats import (
 )
 
 _REGISTRY_PATTERNS = (
-    "u21", "u12", "1u32", "2u31", "2u13", "3u21", "3u12",
+    "u21", "u12", "1u23", "1u32", "2u31", "2u13", "3u21", "3u12",
     "u23_1", "u31_2", "u32_1", "u13_2", "u21_3", "u12_3",
 )
 
@@ -238,12 +238,13 @@ def test_table_matches_reference(n: int) -> None:
 def test_kernels_match_family_cardinalities(n: int) -> None:
     for word in _sample(n):
         g = _reference_ingredients(word)
-        # The registry counts |Des| under its pattern name u21, and has a
-        # kernel for exactly the ingredients the table reads, plus n.
-        assert set(_KERNELS) == _TABLE_INGREDIENTS | {"n"}
-        assert _KERNELS["u21"](word) == g["des"], f"|Des| disagrees on {word}"
-        for name, kernel in _KERNELS.items():
-            assert kernel(word) == g[name], f"{name} disagrees on {word}"
+        got = _ingredients.__wrapped__(word)
+        # The registry counts |Des| under its pattern name u21, and computes
+        # every ingredient the table reads, plus n.
+        assert _TABLE_INGREDIENTS | {"n"} <= set(got)
+        assert got["u21"] == g["des"], f"|Des| disagrees on {word}"
+        for name, value in got.items():
+            assert value == g[name], f"{name} disagrees on {word}"
         pi = Permutation(word)
         for literal in _REGISTRY_PATTERNS:
             assert vincular_count(pi, literal) == g[literal], (

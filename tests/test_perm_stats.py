@@ -1,6 +1,7 @@
 """Tests for permutation statistics, patterns, and the Mahonian registry."""
 
 import math
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -207,9 +208,10 @@ def test_vincular_anchor():
 
 
 def test_vincular_against_brute_force():
+    # All twelve one-glue literals, and a second spelling of one of them.
     literals = ["2u31", "2u13", "u31_2", "1u32", "u32_1", "u13_2",
                 "3u12", "u12_3", "u12", "u21", "u21_3", "3u21", "u23_1",
-                "12", "21"]
+                "1u23", "2_u31", "12", "21"]
     for pi in iter_perms(5):
         for literal in literals:
             pat = parse_vincular(literal)
@@ -227,11 +229,26 @@ def test_vincular_syntax_errors():
         parse_vincular("13")
 
 
+def _large_words():
+    """Seeded random words and both monotone words at n = 1000 and 3000."""
+    rng = random.Random(2024)
+    for n in (1000, 3000):
+        yield tuple(range(1, n + 1))
+        yield tuple(range(n, 0, -1))
+        for _ in range(3):
+            word = list(range(1, n + 1))
+            rng.shuffle(word)
+            yield tuple(word)
+
+
 def test_coordinate_stats_sum_to_pattern_count():
-    for pi in iter_perms(5):
-        assert sum(coordinate_counts(pi, "2-31")) == vincular_count(pi, "2u31")
-        assert sum(coordinate_counts(pi, "2-13")) == vincular_count(pi, "2u13")
-        assert sum(coordinate_counts(pi, "31-2")) == vincular_count(pi, "u31_2")
+    # The per-letter sweep over pair lists and the per-pair sweep of the
+    # one-glue counts share no code, so each checks the other at large n.
+    perms = list(iter_perms(5)) + [Permutation(word) for word in _large_words()]
+    for pi in perms:
+        for which, literal in (("2-31", "2u31"), ("2-13", "2u13"), ("31-2", "u31_2")):
+            assert sum(coordinate_counts(pi, which)) == vincular_count(pi, literal), (
+                f"{which} on a word of size {pi.n}")
 
 
 def test_avoiders_catalan_counts():
