@@ -44,6 +44,7 @@ from .bijections import (
 )
 from .perm_stats import (
     Permutation,
+    _left_ranks,
     _one_glue_counts,
     avoiders,
     cyclic_family,
@@ -333,7 +334,7 @@ def _test_extrema_counting(n: int, pi: Permutation) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _stat_bundle(pi: Permutation) -> tuple[int, int, int, int, int]:
-    g = _one_glue_counts(pi.word)
+    g = _one_glue_counts(pi.word, _left_ranks(pi.word))
     return (g["u31_2"], g["2u13"], g["2u31"], statistic("des")(pi), statistic("ides")(pi))
 
 
@@ -397,7 +398,7 @@ def _test_complement_transport(n: int, pi: Permutation) -> str | None:
 
 
 def _test_pattern_sum_identity_a(n: int, pi: Permutation) -> str | None:
-    g = _one_glue_counts(pi.word)
+    g = _one_glue_counts(pi.word, _left_ranks(pi.word))
     lhs = g["2u13"] + vincular_count(pi, "u12")
     rhs = g["2u31"] + pi.value(n) - 1
     if lhs != rhs:
@@ -406,7 +407,7 @@ def _test_pattern_sum_identity_a(n: int, pi: Permutation) -> str | None:
 
 
 def _test_pattern_sum_identity_b(n: int, pi: Permutation) -> str | None:
-    g = _one_glue_counts(pi.word)
+    g = _one_glue_counts(pi.word, _left_ranks(pi.word))
     des = statistic("des")(pi)
     lhs = (g["3u12"] + g["u12_3"] + g["2u13"] + g["u13_2"]
            + vincular_count(pi, "u12") + n * des)

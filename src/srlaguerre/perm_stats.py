@@ -16,20 +16,20 @@ numbers, from the same word-level sweeps the families read, so each of
 these numbers has one definition.  All ingredients of a word are computed
 together and cached per word.
 
-The inversion-type counts (the coordinate counts, side numbers, nesting
-numbers, inversions, and all twelve length-3 one-glue pattern counts at
-once) are each one sweep that keeps the letters seen so far in a sorted
-list: ``bisect`` counts the letters below a value and ``insort`` adds one.
-A sweep makes O(n log n) comparisons plus n list insertions, whose element
-moves are O(n^2) in the worst case but done in C by memmove.  Measured on
-one 2-vCPU Xeon with Python 3.11, this is no slower than a Fenwick tree up
-to n = 3,000 on random and monotone words, and slower on monotone words
-from about n = 10,000, where a sweep may insert every letter at the front
-of its list.
+Inversions, nesting numbers and the twelve one-glue counts are read off
+one sweep, ``_left_ranks``: the smaller letters before each position, the
+word's inversion table.  The coordinate counts compare a letter with
+adjacent pairs and the side numbers only with its own excedance or
+non-excedance subword, so each keeps its own sweep.  A sweep keeps a sorted
+list (``bisect`` counts the entries below a value, ``insort`` adds one):
+O(n log n) comparisons plus insertions whose moves are O(n^2) in the worst
+case but done in C by memmove.  Measured on one 2-vCPU Xeon with Python
+3.11, this is no slower than a Fenwick tree up to n = 3,000 on random and
+monotone words, and slower on monotone words from about n = 10,000.
 
 Costs for a permutation of size n: the linear family is O(n), and the
 cyclic and shifted families cost one sweep each, for the side numbers and
-the nesting numbers.  No family multiset is expanded: each is
+the left ranks.  No family multiset is expanded: each is
 built from at most n (value, multiplicity) pairs, and the range unions
 (Ddif, Edif, Vedif) are counted by a difference array.  The generic
 vincular counter, kept for patterns of other shapes and for classical
@@ -221,6 +221,20 @@ def _range_union(ranges: Iterable[tuple[int, int]], size: int) -> IntMultiset:
         diff[lo] += 1
         diff[hi] -= 1
     return _with_counts(range(1, size + 1), accumulate(diff[1:size + 1]))
+
+
+def _left_ranks(letters: Sequence[int]) -> list[int]:
+    """r_p for each position p: the letters before p that are smaller.
+
+    The inversion table: it maps S_n one to one onto [0, 1) x ... x [0, n),
+    and C(n,2) less its sum counts the inversions.
+    """
+    seen: list[int] = []
+    ranks = []
+    for v in letters:
+        ranks.append(bisect_left(seen, v))
+        insort(seen, v)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -421,27 +435,18 @@ class ShiftedStatRecord:
 
 def nesting_numbers(pi: Permutation) -> tuple[int, ...]:
     """nest_i for each position; see ``_nesting_numbers``."""
-    return _nesting_numbers(pi.word)
+    return _nesting_numbers(pi.word, _left_ranks(pi.word))
 
 
-def _nesting_numbers(word: tuple[int, ...]) -> tuple[int, ...]:
-    """nest_i: nestings with i as the inner endpoint.
+def _nesting_numbers(word: tuple[int, ...], ranks: Sequence[int]) -> tuple[int, ...]:
+    """nest_i: nestings with i as the inner endpoint, from the left ranks.
 
-    An excedance i counts the larger letters to its left.  A non-excedance
-    i counts the smaller letters to its right: of the v - 1 letters below
-    v = pi(i), those to the left number i - 1 less the larger letters to
-    the left, which leaves v - i plus them.  One sweep over a sorted list
-    of the letters seen so far counts the larger letters to the left of
-    every i: O(n log n) comparisons plus insertions whose moves are O(n^2)
-    in the worst case, done in C.
+    An excedance i counts the larger letters to its left, i - 1 - r_i.  A
+    non-excedance i counts the smaller letters to its right, the v - 1
+    letters below v = pi(i) less the r_i to its left.
     """
-    seen: list[int] = []
-    nest = []
-    for i, v in enumerate(word, start=1):
-        larger = i - 1 - bisect_left(seen, v)
-        nest.append(larger if v > i else v - i + larger)
-        insort(seen, v)
-    return tuple(nest)
+    return tuple([(i if v > i else v) - 1 - r
+                  for i, (v, r) in enumerate(zip(word, ranks), start=1)])
 
 
 def variant_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
@@ -548,7 +553,7 @@ class VincularPattern:
 def parse_vincular(literal: str) -> VincularPattern:
     """Parse a pattern literal such as ``2u31`` or ``u31_2``.
 
-    Digits are pattern letters; ``u`` glues the digit run that follows it
+    ASCII digits are pattern letters; ``u`` glues the digit run that follows it
     (terminated by ``_``, another ``u``, or end of string); ``_`` is a
     separator carrying no adjacency requirement.  Patterns are immutable,
     so a literal is parsed once and reused by ``vincular_count``.
@@ -563,7 +568,7 @@ def parse_vincular(literal: str) -> VincularPattern:
             run_start = len(values) + 1
         elif ch == "_":
             in_run = False
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             values.append(int(ch))
             if in_run and len(values) > run_start:
                 glued.add(len(values) - 1)
@@ -574,27 +579,17 @@ def parse_vincular(literal: str) -> VincularPattern:
     return VincularPattern(tuple(values), frozenset(glued))
 
 
-def _inversions(letters: Sequence[int]) -> int:
-    """Inversions of a sequence of distinct letters, by one sweep over a
-    sorted list of the letters seen so far: O(n log n) comparisons plus
-    insertions whose moves are O(n^2) in the worst case, done in C."""
-    seen: list[int] = []
-    total = 0
-    for v in letters:
-        total += len(seen) - bisect_left(seen, v)
-        insort(seen, v)
-    return total
-
-
 def _des(word: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
-def _one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
-    """The twelve length-3 patterns with one glued pair, in one sweep.
+def _one_glue_counts(word: tuple[int, ...], ranks: Sequence[int]) -> dict[str, int]:
+    """The twelve length-3 patterns with one glued pair, from the left ranks.
 
-    For the pair at host positions j, j+1, two bisections of a sorted list
-    of the letters before j count those below, between and above it; the
+    For the pair x, y at host positions j, j+1, the letters before j below
+    the pair's low letter and below its high letter are r_j and
+    r_{j+1} - 1 for a rise, r_{j+1} and r_j for a fall; their differences
+    count the letters before j below, between and above the pair.  The
     letters of a rank after the pair are all letters of that rank less
     those before it.  A pattern glued at 2 (``1u23``) takes its free letter
     before the pair, one glued at 1 (``u23_1``) after it.
@@ -605,18 +600,16 @@ def _one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
     # letters summed.
     r1 = r2 = r3 = rises = r_lo = r_hi = 0
     f1 = f2 = f3 = falls = f_lo = f_hi = 0
-    seen: list[int] = []
     for j in range(n - 1):
         x, y = word[j], word[j + 1]
         if x < y:
-            below, upto = bisect_left(seen, x), bisect_left(seen, y)
+            below, upto = ranks[j], ranks[j + 1] - 1
             r1, r2, r3 = r1 + below, r2 + upto - below, r3 + j - upto
             rises, r_lo, r_hi = rises + 1, r_lo + x, r_hi + y
         else:
-            below, upto = bisect_left(seen, y), bisect_left(seen, x)
+            below, upto = ranks[j + 1], ranks[j]
             f1, f2, f3 = f1 + below, f2 + upto - below, f3 + j - upto
             falls, f_lo, f_hi = falls + 1, f_lo + y, f_hi + x
-        insort(seen, x)
     # A pair (lo, hi) has lo - 1, hi - lo - 1 and n - hi letters of the
     # three ranks in all.
     return {
@@ -629,7 +622,7 @@ def _one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
 
 # Each one-glue length-3 pattern, whatever its spelling, by its literal
 # among the counts of ``_one_glue_counts``.
-_ONE_GLUE = {parse_vincular(literal): literal for literal in _one_glue_counts(())}
+_ONE_GLUE = {parse_vincular(literal): literal for literal in _one_glue_counts((), ())}
 
 
 def _count_generic(word: tuple[int, ...], values: tuple[int, ...], glued: frozenset[int]) -> int:
@@ -665,8 +658,9 @@ def _count_generic(word: tuple[int, ...], values: tuple[int, ...], glued: frozen
 def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
     """Number of occurrences of a vincular pattern in pi.
 
-    A length-3 pattern with one glued pair, whatever its spelling (``2u31``
-    or ``2_u31``), is read off ``_one_glue_counts``.
+    The classical ``12`` is the sum of the left ranks.  A length-3 pattern
+    with one glued pair, whatever its spelling (``2u31`` or ``2_u31``), is
+    read off ``_one_glue_counts``.
     """
     if isinstance(pattern, str):
         pattern = parse_vincular(pattern)
@@ -680,10 +674,10 @@ def vincular_count(pi: Permutation, pattern: VincularPattern | str) -> int:
         if 1 in glued:
             des = _des(word)
             return des if values == (2, 1) else max(n - 1, 0) - des
-        inversions = _inversions(word)
-        return inversions if values == (2, 1) else n * (n - 1) // 2 - inversions
+        rises = sum(_left_ranks(word))
+        return rises if values == (1, 2) else n * (n - 1) // 2 - rises
     if pattern in _ONE_GLUE:
-        return _one_glue_counts(word)[_ONE_GLUE[pattern]]
+        return _one_glue_counts(word, _left_ranks(word))[_ONE_GLUE[pattern]]
     return _count_generic(word, values, glued)
 
 
@@ -824,24 +818,25 @@ _KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
     "ine": lambda word: sum(_side_numbers(word)),
     "vbot": _vbot,
     "vedif": _vedif,
-    "vnest": lambda word: sum(
-        _variant_nesting(word, _nesting_numbers(word), _pone(word))),
-    "inv": _inversions,
     "sor": _sorting_index,
 }
 
 
 @lru_cache(maxsize=4096)
 def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
-    """Every ingredient value of a word: the twelve one-glue counts of one
-    sweep and one value per kernel.
+    """Every ingredient value of a word: the twelve one-glue counts, inv
+    and |Vnest| read off one left-rank table, and one value per kernel.
 
-    All kernels run on a miss, so a miss costs the same whichever
+    Everything runs on a miss, so a miss costs the same whichever
     statistic asked for it.  The cache serves callers that evaluate several
     statistics of one permutation through separate calls, as
     joint_distribution does.
     """
-    g = _one_glue_counts(word)
+    n = len(word)
+    ranks = _left_ranks(word)
+    g = _one_glue_counts(word, ranks)
+    g["inv"] = n * (n - 1) // 2 - sum(ranks)
+    g["vnest"] = sum(_variant_nesting(word, _nesting_numbers(word, ranks), _pone(word)))
     g.update((name, kernel(word)) for name, kernel in _KERNELS.items())
     return g
 

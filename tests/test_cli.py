@@ -301,6 +301,10 @@ ERROR_EXITS = [
     (["stat", "--perm=-1,2", "--stat", "des"], 4, "not a permutation of 1..n: (-1, 2)"),
     (["map", "--via", "xi", "--", "E/-1"], 4, "weight c_1 = -1 outside [0, 0]"),
     (["stat", "--perm", "1,2", "--stat", "bogus"], 5, "unknown statistic 'bogus'"),
+    # Pattern letters are ASCII digits only.
+    (["stat", "--perm", "3,1,2", "--stat", "1²"], 5, "unknown statistic '1²'"),
+    (["distribution", "--n", "3", "--stats", "1²"], 5, "unknown statistic '1²'"),
+    (["stat", "--perm", "3,1,2", "--stat", "١u2"], 5, "unknown statistic '١u2'"),
     (["distribution", "--n", "3", "--stats", "des,bogus"], 5,
      "unknown statistic 'bogus'"),
     (["verify", "--claim", "nope", "--n-max", "3"], 5, "unknown claim nope"),

@@ -2,31 +2,37 @@
 
 Each ``_old_*`` function below is the implementation that ``src/`` held
 before the coordinate, side and nesting counts became Fenwick sweeps, the
-family multisets were built from (value, count) pairs, the column placement
-found its slot in a list of open slots, the shifted-cyclic decoder went
-through the cyclic one and the Kreweras complement, the linear decoder
+inversions and the twelve one-glue counts (each its own sorted-list sweep)
+became readers of the one left-rank table ``_left_ranks``, the family
+multisets were built from (value, count) pairs, the column placement found
+its slot in a list of open slots, the shifted-cyclic decoder went through
+the cyclic one and the Kreweras complement, the linear decoder
 and valley hopping became a pass over a binary tree, ``history_statistics``
 became one bucketing pass, and the XI_TABLE row of a position was found by
 a branch chain instead of the table's own key columns.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
 kernels must agree with them on all of S_n for n <= 7 and on seeded random
-permutations of size 50, 300 and 1000, the tree kernels also on monotone
-words of size 3000, and the decoders, the history statistics and the row
-lookup on every history with n <= 7 and on random histories of size up to
-200.  ``_old_phi_fv_inv`` rescans the word
-for empty slots at every letter, and ``_old_mfs_full_list`` hops one letter
-at a time on a list.  ``_old_phi_yzl_inv`` is the semi-arc construction, so
-it also witnesses the identity phi_yzl = phi_fz o kreweras from the
-decoding side.  ``_old_mfs_full`` is the fold of the single-letter hop
-``mfs_phi_x``, which is still the definition in ``src/``.  The last tests
-check that no family builds a multiset from more than n items, and that a
-history's statistics build exactly ten multisets.
+permutations of size 50, 300 and 1000, the tree kernels and the
+left-rank readers (nesting numbers included) also on monotone words of
+size 3000, the left-rank readers on random words of size 3000, and the
+decoders, the history statistics and the row lookup on every history with
+n <= 7 and on random histories of size up to 200.  ``_old_phi_fv_inv``
+rescans the word for empty slots at every letter, and
+``_old_mfs_full_list`` hops one letter at a time on a list.
+``_old_phi_yzl_inv`` is the semi-arc construction, so it also witnesses
+the identity phi_yzl = phi_fz o kreweras from the decoding side.
+``_old_mfs_full`` is the fold of the single-letter hop ``mfs_phi_x``, which
+is still the definition in ``src/``.  The last tests check that no family
+builds a multiset from more than n items, and that a history's statistics
+build exactly ten multisets.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from functools import partial
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +69,9 @@ from srlaguerre.perm_stats import (
     LinearStatRecord,
     Permutation,
     ShiftedStatRecord,
+    _ingredients,
+    _left_ranks,
+    _one_glue_counts,
     _variant_nesting,
     coordinate_counts,
     cyclic_family,
@@ -72,6 +81,7 @@ from srlaguerre.perm_stats import (
     pattern_multisets,
     shifted_family,
     side_numbers,
+    vincular_count,
 )
 
 _WHICH = ("2-13", "2-31", "31-2")
@@ -173,6 +183,55 @@ def _old_nesting_numbers(pi: Permutation) -> tuple[int, ...]:
             count = sum(1 for j in range(i + 1, n + 1) if word[j - 1] < v)
         nest.append(count)
     return tuple(nest)
+
+
+def _old_inversions(letters: Sequence[int]) -> int:
+    """Inversions of a sequence of distinct letters, by one sweep over a
+    sorted list of the letters seen so far: O(n log n) comparisons plus
+    insertions whose moves are O(n^2) in the worst case, done in C."""
+    seen: list[int] = []
+    total = 0
+    for v in letters:
+        total += len(seen) - bisect_left(seen, v)
+        insort(seen, v)
+    return total
+
+
+def _old_one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
+    """The twelve length-3 patterns with one glued pair, in one sweep.
+
+    For the pair at host positions j, j+1, two bisections of a sorted list
+    of the letters before j count those below, between and above it; the
+    letters of a rank after the pair are all letters of that rank less
+    those before it.  A pattern glued at 2 (``1u23``) takes its free letter
+    before the pair, one glued at 1 (``u23_1``) after it.
+    """
+    n = len(word)
+    # Over the rising pairs, then the falling ones: the letters before a
+    # pair below, between and above it, the pairs, and their low and high
+    # letters summed.
+    r1 = r2 = r3 = rises = r_lo = r_hi = 0
+    f1 = f2 = f3 = falls = f_lo = f_hi = 0
+    seen: list[int] = []
+    for j in range(n - 1):
+        x, y = word[j], word[j + 1]
+        if x < y:
+            below, upto = bisect_left(seen, x), bisect_left(seen, y)
+            r1, r2, r3 = r1 + below, r2 + upto - below, r3 + j - upto
+            rises, r_lo, r_hi = rises + 1, r_lo + x, r_hi + y
+        else:
+            below, upto = bisect_left(seen, y), bisect_left(seen, x)
+            f1, f2, f3 = f1 + below, f2 + upto - below, f3 + j - upto
+            falls, f_lo, f_hi = falls + 1, f_lo + y, f_hi + x
+        insort(seen, x)
+    # A pair (lo, hi) has lo - 1, hi - lo - 1 and n - hi letters of the
+    # three ranks in all.
+    return {
+        "1u23": r1, "2u13": r2, "3u12": r3, "1u32": f1, "2u31": f2, "3u21": f3,
+        "u23_1": r_lo - rises - r1, "u32_1": f_lo - falls - f1,
+        "u13_2": r_hi - r_lo - rises - r2, "u31_2": f_hi - f_lo - falls - f2,
+        "u12_3": n * rises - r_hi - r3, "u21_3": n * falls - f_hi - f3,
+    }
 
 
 def _old_linear_family(pi: Permutation) -> LinearStatRecord:
@@ -555,6 +614,32 @@ def test_tree_kernels_match_list_oracles_on_monotone_perms(pi):
     # The longest one-child chains: every node of the Cartesian tree and of
     # the slot-insertion tree has at most one child.
     _check_tree_kernels(pi)
+
+
+def _check_left_rank_readers(word: tuple[int, ...]) -> None:
+    pi = Permutation(word)
+    assert _one_glue_counts(word, _left_ranks(word)) == _old_one_glue_counts(word), word
+    inversions = _old_inversions(word)
+    assert _ingredients.__wrapped__(word)["inv"] == inversions, word
+    assert vincular_count(pi, "21") == inversions, word
+    assert nesting_numbers(pi) == _old_nesting_numbers(pi), word
+
+
+def test_left_rank_readers_match_oracles_on_small_perms():
+    for pi in _small_perms():
+        _check_left_rank_readers(pi.word)
+
+
+@pytest.mark.parametrize("pi", [
+    *_random_perms(50, 20, 4104),
+    *_random_perms(300, 5, 4105),
+    *_random_perms(1000, 2, 4106),
+    *_random_perms(3000, 2, 4107),
+    Permutation(range(1, 3001)),
+    Permutation(range(3000, 0, -1)),
+], ids=lambda pi: f"n{pi.n}-{hash(pi.word) % 1000}")
+def test_left_rank_readers_match_oracles_on_large_perms(pi):
+    _check_left_rank_readers(pi.word)
 
 
 def test_coordinate_errors_unchanged():

@@ -1,14 +1,18 @@
 """Tests for permutation statistics, patterns, and the Mahonian registry."""
 
+import ast
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_large_properties import large_perms
 
+import srlaguerre
 from srlaguerre import perm_stats
 from srlaguerre.multiset import IntMultiset
 from srlaguerre.perm_stats import (
@@ -182,6 +186,102 @@ def test_shifted_family_computes_nesting_numbers_once(monkeypatch):
     assert sh.vnest == perm_stats.variant_nesting_numbers(pi)
 
 
+def _q_factorial(n: int) -> list[int]:
+    """The coefficients of [n]_q! = prod over k <= n of 1 + q + ... + q^(k-1)."""
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs = [sum(coeffs[e - j] for j in range(k) if 0 <= e - j < len(coeffs))
+                  for e in range(len(coeffs) + k - 1)]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_left_ranks_are_the_inversion_table(n):
+    # One to one onto [0, 1) x ... x [0, n), with C(n,2) less the sum
+    # counting the inversions, so that count is Mahonian.
+    codes = set()
+    inversions = Counter()
+    for word in permutations(range(1, n + 1)):
+        ranks = perm_stats._left_ranks(word)
+        codes.add(tuple(ranks))
+        inv = n * (n - 1) // 2 - sum(ranks)
+        assert inv == sum(1 for i in range(n) for j in range(i + 1, n)
+                          if word[i] > word[j]), word
+        inversions[inv] += 1
+    assert codes == set(product(*(range(p) for p in range(1, n + 1))))
+    assert [inversions[e] for e in range(n * (n - 1) // 2 + 1)] == _q_factorial(n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_perms)
+def test_left_ranks_match_their_definition(pi):
+    word = pi.word
+    assert perm_stats._left_ranks(word) == [
+        sum(1 for u in word[:p] if u < v) for p, v in enumerate(word)]
+
+
+def test_ingredients_sweep_left_ranks_once(monkeypatch):
+    calls = []
+    original = perm_stats._left_ranks
+
+    def counting(letters):
+        calls.append(letters)
+        return original(letters)
+
+    monkeypatch.setattr(perm_stats, "_left_ranks", counting)
+    word = (6, 7, 1, 3, 9, 5, 4, 8, 2)
+    g = perm_stats._ingredients.__wrapped__(word)
+    assert len(calls) == 1
+    assert g["inv"] == 19
+
+
+# The package's only sorted-list sweeps.  Inversions, nesting numbers and
+# the one-glue counts read the left ranks; a new sweep over the same letters
+# must be a reader of ``_left_ranks`` too, or be listed here with its reason.
+SORTED_LIST_SWEEPS = {
+    "perm_stats._left_ranks",
+    "perm_stats._side_numbers",
+    "perm_stats.coordinate_counts",
+}
+_BISECT_CALLS = {"bisect", "bisect_left", "bisect_right", "insort", "insort_left", "insort_right"}
+
+
+def _sorted_list_users(source: str, module: str) -> set[str]:
+    """The qualified names of the functions that call a ``bisect`` function,
+    by bare name or as an attribute; ``<module>`` for a call outside any
+    function."""
+    users = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _BISECT_CALLS:
+                    users.add(scope if scope != module else f"{module}.<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return users
+
+
+def test_only_listed_functions_sweep_sorted_lists():
+    found = set()
+    for path in Path(srlaguerre.__file__).parent.glob("*.py"):
+        found |= _sorted_list_users(path.read_text(), path.stem)
+    assert found == SORTED_LIST_SWEEPS
+
+
+def test_every_sorted_list_call_is_found():
+    source = ("import bisect\nbisect.insort(a, 1)\n"
+              "def f(a):\n    return bisect_right(a, 2)\n"
+              "class C:\n    def g(self, a):\n        insort_left(a, 3)\n")
+    assert _sorted_list_users(source, "m") == {"m.<module>", "m.f", "m.C.g"}
+
+
 def brute_vincular(word, values, glued):
     """Independent oracle for vincular pattern counting."""
     from itertools import combinations
@@ -227,6 +327,10 @@ def test_vincular_syntax_errors():
         parse_vincular("u12345")
     with pytest.raises(PatternSyntaxError):
         parse_vincular("13")
+    # Pattern letters are ASCII digits: int() would read these too.
+    for literal in ("1²", "١u2"):
+        with pytest.raises(PatternSyntaxError):
+            parse_vincular(literal)
 
 
 def _large_words():
