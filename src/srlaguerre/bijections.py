@@ -228,9 +228,9 @@ def phi_csz(pi: Permutation) -> Permutation:
 def theta(pi: Permutation) -> Permutation:
     """The mirror map: theta_n = n+1-pi(n) and theta_i = n+1-pi(n-i)."""
     n = pi.n
-    # n - i is 0 only at i = n, which reads pi(n).
-    return Permutation._unchecked(
-        tuple(n + 1 - pi.value(n - i or n) for i in range(1, n + 1)))
+    word = pi.word
+    # pi(n-1), ..., pi(1), then pi(n).
+    return Permutation._unchecked(tuple(n + 1 - v for v in word[-2::-1] + word[-1:]))
 
 
 def kreweras(pi: Permutation) -> Permutation:

@@ -19,7 +19,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterable, Iterator
 
-from .multiset import IntMultiset, _distinct, _int_token, _with_counts, as_ints
+from .multiset import IntMultiset, _distinct, _int_token, _one_based, _with_counts, as_ints
 
 
 class StepType(IntEnum):
@@ -108,15 +108,15 @@ class LaguerreHistory:
 
     def step(self, i: int) -> StepType:
         """Step i, 1-based."""
-        return self.w[i - 1]
+        return _one_based(self.w, i)
 
     def height(self, i: int) -> int:
         """Height before step i, 1-based."""
-        return self.h[i - 1]
+        return _one_based(self.h, i)
 
     def weight(self, i: int) -> int:
         """Weight c_i, 1-based."""
-        return self.c[i - 1]
+        return _one_based(self.c, i)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaguerreHistory):

@@ -45,6 +45,14 @@ def _int_token(token: str) -> int:
     return int(token)
 
 
+def _one_based(entries: tuple, i: int):
+    """Entry i of ``entries``, counted from 1.  Index 0 and negative
+    indices raise ``IndexError`` instead of reading from the end."""
+    if not 1 <= i <= len(entries):
+        raise IndexError(f"index {i} outside 1..{len(entries)}")
+    return entries[i - 1]
+
+
 class ContainmentViolation(ValueError):
     """Strict multiset difference applied to a non-contained subtrahend."""
 

@@ -9,12 +9,16 @@ registry of 35 Mahonian statistics.
 The registry is a formula table, ``MAHONIAN_TABLE``: each statistic is an
 integer combination of ingredients (vincular pattern counts and family
 cardinalities) plus a closed-form term in n, in the manner of
-Babson and Steingrimsson's pattern-sum statistics.  Each ingredient is a
-kernel on the one-line word that builds no family record.  |Ine| and
-|Vnest| are the sums of the side numbers and of the variant nesting
-numbers, from the same word-level sweeps the families read, so each of
-these numbers has one definition.  All ingredients of a word are computed
-together and cached per word.
+Babson and Steingrimsson's pattern-sum statistics.  The ingredients are
+read off the one-line word and build no family record.  The family sums
+come from two letter lists, built once per word: the descents, summed by
+bottoms and drops, and the excedances, summed by positions and rises.
+|Ine| and |Vnest| are the sums of the side numbers and of the variant
+nesting numbers, from the same word-level sweeps the families read, so
+each of these numbers has one definition.  All ingredients of a word are
+computed together and cached per word.  The family records, several times
+dearer than a whole ingredient miss, stay the tests' independent oracle
+for every family sum.
 
 Inversions, nesting numbers and the twelve one-glue counts are read off
 one sweep, ``_left_ranks``: the smaller letters before each position, the
@@ -45,7 +49,7 @@ from itertools import accumulate, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .histories import StepType
-from .multiset import IntMultiset, _distinct, _int_token, _with_counts, as_ints
+from .multiset import IntMultiset, _distinct, _int_token, _one_based, _with_counts, as_ints
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
@@ -106,7 +110,7 @@ class Permutation:
 
     def value(self, i: int) -> int:
         """pi(i), 1-based."""
-        return self.word[i - 1]
+        return _one_based(self.word, i)
 
     @property
     def inverse_word(self) -> tuple[int, ...]:
@@ -116,7 +120,7 @@ class Permutation:
 
     def position(self, v: int) -> int:
         """pi^{-1}(v), 1-based."""
-        return self.inverse_word[v - 1]
+        return _one_based(self.inverse_word, v)
 
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(self.inverse_word)
@@ -744,28 +748,8 @@ def pattern_multisets(pi: Permutation) -> tuple[IntMultiset, IntMultiset, IntMul
 # Mahonian statistic registry
 # ---------------------------------------------------------------------------
 
-def _dbot(word: tuple[int, ...]) -> int:
-    """|Dbot|: each descent bottom b counted b times."""
-    return sum(b for a, b in zip(word, word[1:]) if a > b)
-
-
-def _ddif(word: tuple[int, ...]) -> int:
-    """|Ddif|: the sum of descent drops."""
-    return sum(a - b for a, b in zip(word, word[1:]) if a > b)
-
-
 def _exc(word: tuple[int, ...]) -> int:
     return sum(1 for i, v in enumerate(word, start=1) if v > i)
-
-
-def _ebot(word: tuple[int, ...]) -> int:
-    """|Ebot|: each excedance position i counted i times."""
-    return sum(i for i, v in enumerate(word, start=1) if v > i)
-
-
-def _edif(word: tuple[int, ...]) -> int:
-    """|Edif|: the sum of excedance rises."""
-    return sum(v - i for i, v in enumerate(word, start=1) if v > i)
 
 
 def _pone(word: tuple[int, ...]) -> int:
@@ -774,20 +758,6 @@ def _pone(word: tuple[int, ...]) -> int:
 
 def _last(word: tuple[int, ...]) -> int:
     return word[-1] if word else 0
-
-
-def _vbot(word: tuple[int, ...]) -> int:
-    """|Vbot|: each i in [n-1] whose successor i+1 is no excedance value,
-    counted i times."""
-    position = _invert(word)
-    return sum(i for i in range(1, len(word)) if position[i] > i)
-
-
-def _vedif(word: tuple[int, ...]) -> int:
-    """|Vedif|: excedance rises less one each, plus the n - pone letters
-    after the position of 1."""
-    rises = sum(v - i - 1 for i, v in enumerate(word, start=1) if v > i)
-    return rises + len(word) - _pone(word)
 
 
 def _sorting_index(word: tuple[int, ...]) -> int:
@@ -805,27 +775,16 @@ def _sorting_index(word: tuple[int, ...]) -> int:
     return total
 
 
-_KERNELS: dict[str, Callable[[tuple[int, ...]], int]] = {
-    "n": len,
-    "last": _last,
-    "pone": _pone,
-    "u21": _des,
-    "dbot": _dbot,
-    "ddif": _ddif,
-    "exc": _exc,
-    "ebot": _ebot,
-    "edif": _edif,
-    "ine": lambda word: sum(_side_numbers(word)),
-    "vbot": _vbot,
-    "vedif": _vedif,
-    "sor": _sorting_index,
-}
-
-
 @lru_cache(maxsize=4096)
 def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
-    """Every ingredient value of a word: the twelve one-glue counts, inv
-    and |Vnest| read off one left-rank table, and one value per kernel.
+    """Every ingredient value of a word.
+
+    The twelve one-glue counts, inv and |Vnest| are read off one left-rank
+    table, and the family sums off two letter lists: the descents as (top,
+    bottom) pairs and the excedances as (position, value) pairs.  |Vedif|
+    counts each excedance's range [i+1, v) and the n - pone letters after
+    the position of 1; |Vbot| counts, i times, each i in [n-1] whose
+    successor is no excedance value.
 
     Everything runs on a miss, so a miss costs the same whichever
     statistic asked for it.  The cache serves callers that evaluate several
@@ -833,11 +792,26 @@ def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
     joint_distribution does.
     """
     n = len(word)
+    pone = _pone(word)
     ranks = _left_ranks(word)
     g = _one_glue_counts(word, ranks)
     g["inv"] = n * (n - 1) // 2 - sum(ranks)
-    g["vnest"] = sum(_variant_nesting(word, _nesting_numbers(word, ranks), _pone(word)))
-    g.update((name, kernel(word)) for name, kernel in _KERNELS.items())
+    g["vnest"] = sum(_variant_nesting(word, _nesting_numbers(word, ranks), pone))
+    drops = [(a, b) for a, b in zip(word, word[1:]) if a > b]
+    excs = [(i, v) for i, v in enumerate(word, start=1) if v > i]
+    dbot = sum(b for _, b in drops)
+    ebot = sum(i for i, _ in excs)
+    edif = sum(v for _, v in excs) - ebot
+    position = _invert(word)
+    g.update(
+        n=n, last=_last(word), pone=pone,
+        u21=len(drops), dbot=dbot, ddif=sum(a for a, _ in drops) - dbot,
+        exc=len(excs), ebot=ebot, edif=edif,
+        ine=sum(_side_numbers(word)),
+        vbot=sum(i for i in range(1, n) if position[i] > i),
+        vedif=edif - len(excs) + n - pone,
+        sor=_sorting_index(word),
+    )
     return g
 
 

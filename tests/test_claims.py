@@ -1,5 +1,6 @@
-"""Tests for the claim runner: pinned counterexample strings, threads and
-mutations of the encoders that the claims must catch."""
+"""Tests for the claim runner: pinned counterexample strings, threads, and
+mutations of the encoders, the shared sweeps and the encoding-claim table
+that the claims must catch."""
 from __future__ import annotations
 
 import sys
@@ -22,7 +23,7 @@ from srlaguerre.claims import claim_ids, run_claim
 from srlaguerre.cli import main
 from srlaguerre.histories import NE_STEPS, LaguerreHistory, StepType
 from srlaguerre.mfs_action import StarredClasses
-from srlaguerre.multiset import IntMultiset
+from srlaguerre.multiset import IntMultiset, OutOfRange
 from srlaguerre.perm_stats import iter_perms, trivial_bijection
 
 
@@ -337,3 +338,80 @@ def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
     _patch_everywhere(monkeypatch, getattr(perm_stats, name), mutant)
     got = {claim: _first_failure(claim)[1::2] for claim in expected}
     assert got == expected
+
+
+# Every swap of two entries within one family column of ``claims._KEYS``:
+# 78 linear, 66 cyclic and 66 shifted mutants.  Each rebuilds the claims
+# that read its column as CLAIM_REGISTRY builds them.
+_CSZ_PATTERN_ROWS = slice(3, 6)
+
+
+def _keys_swaps(column: int):
+    labels = claims._COLUMNS[column]
+    for a, b in combinations(labels, 2):
+        yield f"{a}/{b}", {**labels, a: labels[b], b: labels[a]}
+
+
+def _claims_reading(column: int, labels: dict) -> tuple[list, list]:
+    """The claim tests that read ``labels`` as the family column, and the
+    rows ``_CSZ_ROWS`` takes under it (its pattern rows read the linear and
+    cyclic columns)."""
+    linear, cyclic = claims._COLUMNS[1], claims._COLUMNS[2]
+    csz_rows = list(claims._CSZ_ROWS)
+    if column == 3:
+        return [claims._correspondence("phi_yzl", (labels, claims._SHIFTED[1]),
+                                       last_is_critical=False),
+                claims._conjugate("rho", (labels, claims._SHIFTED[1]))], csz_rows
+    if column == 1:
+        linear = labels
+        tests = [claims._correspondence("phi_fv", (labels, claims._linear)),
+                 claims._conjugate("phi", (labels, claims._linear))]
+    else:
+        cyclic = labels
+        eta_head = (("Exc", "Exc", "Nexc-last"), ("Nexc", "Nexc-last", "Exc"))
+        tests = [claims._correspondence("phi_fz", (labels, claims._CYCLIC[1])),
+                 claims._conjugate("eta", (labels, claims._CYCLIC[1]), eta_head,
+                                   claims._KAPPA_PAIRS[4:])]
+    csz_rows[_CSZ_PATTERN_ROWS] = claims._rows(
+        (key, linear[key], cyclic[key]) for key in ("2-13", "2-31", "31-2"))
+    return tests + [claims._test_csz_transport], csz_rows
+
+
+def _first_comparison_failure(tests, n_max: int = 4) -> int | None:
+    """The least n at which some test returns a counterexample.  A test
+    that raises ``OutOfRange`` skips the rest of S_n: a raise is no failed
+    comparison."""
+    for n in range(1, n_max + 1):
+        for test in tests:
+            for pi in iter_perms(n):
+                try:
+                    if test(n, pi) is not None:
+                        return n
+                except OutOfRange:
+                    break
+    return None
+
+
+def test_unmutated_keys_rebuild_passing_claims(monkeypatch):
+    for column in (1, 2, 3):
+        tests, csz_rows = _claims_reading(column, claims._COLUMNS[column])
+        assert [row[0] for row in csz_rows] == [row[0] for row in claims._CSZ_ROWS]
+        monkeypatch.setattr(claims, "_CSZ_ROWS", csz_rows)
+        assert _first_comparison_failure(tests) is None, column
+
+
+@pytest.mark.parametrize("column, mutants", [(1, 78), (2, 66), (3, 66)],
+                         ids=["linear", "cyclic", "shifted"])
+def test_every_keys_swap_fails_a_comparison_by_n4(monkeypatch, column, mutants):
+    # 137 of the 210 fail at n = 2, 67 at n = 3 and 6 at n = 4.  A survivor
+    # is a gap in the encoding claims, not a reason to loosen this test.
+    survivors = []
+    count = 0
+    for label, labels in _keys_swaps(column):
+        tests, csz_rows = _claims_reading(column, labels)
+        monkeypatch.setattr(claims, "_CSZ_ROWS", csz_rows)
+        if _first_comparison_failure(tests) is None:
+            survivors.append(label)
+        count += 1
+    assert not survivors, f"_KEYS swaps no claim notices: {survivors}"
+    assert count == mutants

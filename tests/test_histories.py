@@ -63,6 +63,22 @@ def test_heights_computed():
     assert w.h == (0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("accessor", ["step", "height", "weight"])
+@pytest.mark.parametrize("i", [0, -1, -2, 3])
+def test_one_based_accessors_reject_indices_outside_1_to_n(accessor, i):
+    # w[i - 1] alone would read 0 and negative indices from the end.
+    history = LaguerreHistory.from_text("NS/0,1")
+    with pytest.raises(IndexError):
+        getattr(history, accessor)(i)
+
+
+def test_one_based_accessors_read_steps_in_order():
+    history = LaguerreHistory.from_text("NS/0,1")
+    assert [history.step(i) for i in (1, 2)] == [N, S]
+    assert [history.height(i) for i in (1, 2)] == [0, 1]
+    assert [history.weight(i) for i in (1, 2)] == [0, 1]
+
+
 def test_path_below_axis_rejected():
     with pytest.raises(PathBelowAxis):
         LaguerreHistory((S, N), (1, 0))

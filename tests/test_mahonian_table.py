@@ -295,6 +295,9 @@ def _perturbations():
 
 
 def test_every_table_perturbation_is_caught() -> None:
+    # All 654 one-unit changes fail a table claim by n = 3 (176 at n = 1,
+    # 278 at n = 2, 200 at n = 3), so every term and constant of every row
+    # is pinned at sizes that run in well under a second.
     missed = []
     count = 0
     for name, label, corrupted in _perturbations():
@@ -303,7 +306,7 @@ def test_every_table_perturbation_is_caught() -> None:
         try:
             detected = any(
                 run_claim(claim, n).status == "fail"
-                for n in range(1, 7)
+                for n in range(1, 4)
                 for claim in ("tab2-mahonian", "tab3-mahonian"))
         finally:
             MAHONIAN_TABLE[name] = original
@@ -311,4 +314,4 @@ def test_every_table_perturbation_is_caught() -> None:
         if not detected:
             missed.append(f"{name} {label}")
     assert not missed, f"undetected table corruptions: {missed}"
-    assert count > 6 * len(MAHONIAN_TABLE)
+    assert count == 654

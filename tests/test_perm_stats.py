@@ -52,6 +52,17 @@ def test_permutation_basics():
     assert pi.to_text() == "3,1,2"
 
 
+@pytest.mark.parametrize("accessor, i", [
+    ("value", 0), ("value", -1), ("value", -3), ("value", 4),
+    ("position", 0), ("position", -1), ("position", 4),
+])
+def test_one_based_accessors_reject_indices_outside_1_to_n(accessor, i):
+    # word[i - 1] alone would read 0 and negative indices from the end.
+    pi = Permutation.from_text("3,1,2")
+    with pytest.raises(IndexError):
+        getattr(pi, accessor)(i)
+
+
 def test_invalid_permutations_rejected():
     with pytest.raises(NotAPermutation):
         Permutation([1, 1])
