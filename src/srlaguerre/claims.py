@@ -14,6 +14,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -103,7 +104,10 @@ class ClaimSpec:
     test: Callable[[int, object], "str | None"]
 
 
+@lru_cache(maxsize=16)
 def _full_range(n: int) -> IntMultiset:
+    """[n-1] as a multiset, built once per n while a sweep runs (the value
+    is immutable)."""
     return IntMultiset(range(1, n))
 
 
@@ -163,10 +167,15 @@ def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
     return _first_mismatch(w_hist, checks)
 
 
+def _a_image(n: int, exps: Sequence[int]) -> tuple[int, ...]:
+    """Cor 1.1's monomial map of A_n on one exponent tuple (in the order of
+    ``A_VARIABLES``); it carries the exponents of xi(W) to those of W."""
+    t1, t2, t3, t4, r, s, x, v, w = exps
+    return (t4, t3, t2, t1, n - 1 - r, n - 1 - s, n + 1 - x, v + t3 - t2, w + t3 - t2)
+
+
 def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
-    # A_n's monomial map, applied to the exponents of xi(W), gives W's.
-    t1, t2, t3, t4, r, s, x, v, w = _a_exponents(xi(w_hist))
-    image = (t4, t3, t2, t1, n - 1 - r, n - 1 - s, n + 1 - x, v + t3 - t2, w + t3 - t2)
+    image = _a_image(n, _a_exponents(xi(w_hist)))
     return (None if _a_exponents(w_hist) == image
             else f"{w_hist.to_text()}: exponent relations violated")
 
@@ -253,6 +262,9 @@ def _correspondence(encoding: str, view, last_is_critical: bool = True):
 # conjugate, then the keys complemented in [n-1].
 _KAPPA_PAIRS = (("Sdeb", "Nea"), ("Sdea", "Neb"), ("Neb", "Sdea"), ("Nea", "Sdeb"),
                 ("2-13", "2-31"), ("2-31", "2-13"), ("31-2", "31-2"))
+
+# The eta corollary's head rows: Exc and Nexc swap, the last letter aside.
+_ETA_HEAD = (("Exc", "Exc", "Nexc-last"), ("Nexc", "Nexc-last", "Exc"))
 
 
 def _conjugate(which: str, view, head: tuple = (), pairs=_KAPPA_PAIRS):
@@ -535,9 +547,7 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               "perms", _test_csz_transport),
     ClaimSpec("eta-corollary",
               "cyclic statistics reflected by the conjugated involution",
-              "perms", _conjugate("eta", _CYCLIC, (("Exc", "Exc", "Nexc-last"),
-                                                   ("Nexc", "Nexc-last", "Exc")),
-                                  _KAPPA_PAIRS[4:])),
+              "perms", _conjugate("eta", _CYCLIC, _ETA_HEAD, _KAPPA_PAIRS[4:])),
     ClaimSpec("prop4.17",
               "shifted statistics transported by the nesting encoding",
               "perms", _correspondence("phi_yzl", _SHIFTED, last_is_critical=False)),

@@ -1,11 +1,15 @@
 """Exact sparse Laurent polynomials and the generating functions they carry.
 
-The nine-variable polynomial A_n sums a monomial over every weighted path
-of length n; its symmetry under the path involution, its classical
-specializations (Eulerian, double Eulerian, (p,q)-Eulerian, (q,t)-Catalan),
-generic joint-distribution polynomials over the symmetric group, and
-continued-fraction moment sequences are all computed here with integer
-arithmetic only.
+The nine-variable polynomial A_n sums a monomial over the n! restricted
+Laguerre histories of length n.  Each of its exponents is a sum over the
+steps of a local rule, once each step knows the next weight and whether a
+zero weight lies to its right, so ``_transfer`` builds A_n (or any monomial
+specialization of it) by a right-to-left transfer matrix in the manner of
+Flajolet's path theory of continued fractions, without visiting the
+histories.  Also here, with integer arithmetic only: the classical
+specializations of A_n (Eulerian, double Eulerian, (p,q)-Eulerian,
+(q,t)-Catalan), generic joint-distribution polynomials over the symmetric
+group, and continued-fraction moment sequences.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .histories import (
+    NDE_STEPS,
+    NE_STEPS,
     LaguerreHistory,
-    enumerate_histories,
+    StepType,
     history_statistics,
 )
 from .perm_stats import avoiders, iter_perms, statistic
@@ -115,15 +121,108 @@ def _a_exponents(history: LaguerreHistory) -> tuple[int, ...]:
             len(g.Asc), g.cs, len(g.Ht), len(g.Wt))
 
 
-def a_polynomial(n: int) -> MultiPoly:
-    """Sum over all length-n weighted paths of
-    t1^sdeb t2^sdea t3^neb t4^nea r^nde s^asc x^cs v^ht w^wt."""
+def _step_exponents(n: int, i: int, step: StepType, height: int, weight: int,
+                    next_weight: int | None, zero_right: bool) -> tuple[int, ...]:
+    """What step i adds to each exponent of A_n, in the order of
+    ``A_VARIABLES``.  ``zero_right`` says whether some weight c_j with
+    j > i is 0: then step i lies before cs; otherwise it is cs when
+    c_i = 0 and lies after cs when c_i > 0."""
+    sde = step not in NE_STEPS
+    after = not zero_right and weight > 0
+    at_cs = not zero_right and weight == 0
+    return (int(sde and zero_right), int(sde and after),
+            int(not sde and zero_right), int(not sde and after),
+            int(step in NDE_STEPS), int(i < n and weight < next_weight + sde),
+            i if at_cs else 0, height, weight)
+
+
+def _transfer(n: int, subst: Mapping[str, Mapping[str, int]] | None = None) -> MultiPoly:
+    """A_n, or ``specialize(A_n, subst)``, by a transfer matrix over the
+    steps from right to left, without visiting the n! histories.
+
+    Every exponent of A_n is a sum over the steps of ``_step_exponents``,
+    which reads only the step, its height and weight, the next weight and
+    whether a zero weight lies to the right.  So the sweep keeps, per state
+    (height before step i, c_i, some c_j with j >= i is 0), the exponent
+    tuples of the suffixes from step i on with their counts.  Under
+    ``subst`` each step's exponents are mapped before they are added, so
+    only the new variables' tuples are kept.
+
+    A tuple travels packed into one integer, exponent k times 2**(shift k),
+    so a step adds one integer.  No exponent of A_n exceeds n*n, nor, under
+    ``subst``, n*n times the sum of its |exponents|; ``shift`` leaves room
+    for every signed digit.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = MultiPoly(A_VARIABLES)
-    for history in enumerate_histories(n):
-        poly.add_term(_a_exponents(history))
+    variables, project = (A_VARIABLES, None) if subst is None else _substitution(A_VARIABLES, subst)
+    scale = 1 if subst is None else max(1, sum(abs(f) for row in subst.values() for f in row.values()))
+    shift = (n * n * scale).bit_length() + 1
+    states: dict[tuple, dict[int, int]] = {(0, None, False): {0: 1}}
+    for i in range(n, 0, -1):
+        swept: dict[tuple, dict[int, int]] = {}
+        for (end, next_weight, zero_right), suffixes in states.items():
+            for step in StepType:
+                height = end - step.rise
+                # A path from height 0 reaches at most height i - 1 before step i.
+                if not 0 <= height < i:
+                    continue
+                for weight in range(0 if step in NE_STEPS else 1, height + 1):
+                    inc = _step_exponents(n, i, step, height, weight, next_weight, zero_right)
+                    if project:
+                        inc = project(inc)
+                    inc = sum(e << shift * k for k, e in enumerate(inc))
+                    target = swept.setdefault((height, weight, zero_right or weight == 0), {})
+                    for packed, count in suffixes.items():
+                        packed += inc
+                        target[packed] = target.get(packed, 0) + count
+        states = swept
+    # Only (0, 0, True) is left: step 1 starts at height 0 with weight 0.
+    (packed_terms,) = states.values()
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    poly = MultiPoly(variables)
+    for packed, count in packed_terms.items():
+        exps = []
+        for _ in variables:
+            exps.append(((packed + half) & mask) - half)
+            packed = (packed - exps[-1]) >> shift
+        poly.terms[tuple(exps)] = count
     return poly
+
+
+def a_polynomial(n: int) -> MultiPoly:
+    """Sum over all length-n weighted paths of
+    t1^sdeb t2^sdea t3^neb t4^nea r^nde s^asc x^cs v^ht w^wt.
+
+    Built by ``_transfer`` without enumerating the histories; the sum of
+    ``_a_exponents`` over ``enumerate_histories(n)`` is its oracle in the
+    tests."""
+    return _transfer(n)
+
+
+def _substitution(
+    variables: Sequence[str], subst: Mapping[str, Mapping[str, int]]
+) -> tuple[tuple[str, ...], Callable[[Sequence[int]], tuple[int, ...]]]:
+    """The variables ``subst`` gives a polynomial in ``variables``, in order
+    of first appearance, and the map of its exponent tuples onto them."""
+    new_vars: list[str] = []
+    for name in variables:
+        if name not in subst:
+            raise ValueError(f"no substitution for variable {name!r}")
+        for new in subst[name]:
+            if new not in new_vars:
+                new_vars.append(new)
+    index = {name: k for k, name in enumerate(new_vars)}
+    moves = [(j, index[new], f)
+             for j, name in enumerate(variables) for new, f in subst[name].items()]
+
+    def project(exps: Sequence[int]) -> tuple[int, ...]:
+        new_exps = [0] * len(new_vars)
+        for j, k, f in moves:
+            new_exps[k] += exps[j] * f
+        return tuple(new_exps)
+
+    return tuple(new_vars), project
 
 
 def specialize(
@@ -136,21 +235,10 @@ def specialize(
     variables appear in order of first appearance, scanning the old
     variables in order.
     """
-    new_vars: list[str] = []
-    for name in poly.variables:
-        if name not in subst:
-            raise ValueError(f"no substitution for variable {name!r}")
-        for new in subst[name]:
-            if new not in new_vars:
-                new_vars.append(new)
-    index = {name: k for k, name in enumerate(new_vars)}
+    new_vars, project = _substitution(poly.variables, subst)
     result = MultiPoly(new_vars)
     for exps, coeff in poly.terms.items():
-        new_exps = [0] * len(new_vars)
-        for name, e in zip(poly.variables, exps):
-            for new, f in subst[name].items():
-                new_exps[index[new]] += e * f
-        result.add_term(tuple(new_exps), coeff)
+        result.add_term(project(exps), coeff)
     return result
 
 
@@ -195,16 +283,17 @@ def qt_catalan(n: int) -> MultiPoly:
 
     Computed directly as the distribution of (des, 31-2) over 213-avoiders,
     and cross-checked against the p -> 0 limit of the (p,q)-Eulerian
-    specialization of A_n; raises NegativePDegree if the limit does not
-    exist, and ValueError if the two computations disagree.
+    specialization of A_n, which ``_transfer`` builds in the variables
+    (t, p, q) alone; raises NegativePDegree if the limit does not exist,
+    and ValueError if the two computations disagree or n < 1.
     """
+    pq = _transfer(n, PQ_EULERIAN_SUBST)
     direct = MultiPoly(("t", "q"))
     des = statistic("des")
     three_one_two = statistic("u31_2")
     for pi in avoiders(n, (2, 1, 3)):
         direct.add_term((des(pi), three_one_two(pi)))
 
-    pq = specialize(a_polynomial(n), PQ_EULERIAN_SUBST)
     p_index = pq.variables.index("p")
     limit = MultiPoly(("t", "q"))
     t_index = pq.variables.index("t")

@@ -368,9 +368,8 @@ def _claims_reading(column: int, labels: dict) -> tuple[list, list]:
                  claims._conjugate("phi", (labels, claims._linear))]
     else:
         cyclic = labels
-        eta_head = (("Exc", "Exc", "Nexc-last"), ("Nexc", "Nexc-last", "Exc"))
         tests = [claims._correspondence("phi_fz", (labels, claims._CYCLIC[1])),
-                 claims._conjugate("eta", (labels, claims._CYCLIC[1]), eta_head,
+                 claims._conjugate("eta", (labels, claims._CYCLIC[1]), claims._ETA_HEAD,
                                    claims._KAPPA_PAIRS[4:])]
     csz_rows[_CSZ_PATTERN_ROWS] = claims._rows(
         (key, linear[key], cyclic[key]) for key in ("2-13", "2-31", "31-2"))

@@ -85,7 +85,8 @@ def test_xi_on_random_histories(h):
 @pytest.mark.parametrize(
     "claim", ["prop4.3", "prop4.10", "prop4.17", "csz-corollary", "thm4.6",
               "cor4.4", "eta-corollary", "rho-corollary", "thm4.23-eq35",
-              "thm4.23-eq36", "lem4.14"])
+              "thm4.23-eq36", "lem4.14", "fact4.8", "thm4.20", "lem4.21",
+              "lem4.22", "eq34"])
 @settings(deadline=None, max_examples=25)
 @given(pi=large_perms)
 def test_transport_claims_hold(claim, pi):
