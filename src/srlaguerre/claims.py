@@ -27,8 +27,8 @@ from .histories import (
 )
 from .involution import check_against_table, verify_xi_contract, xi
 from .mfs_action import (
+    coordinate_counts_by_extrema,
     coordinate_counts_zero_boundary,
-    coordinate_stat_by_extrema,
     mfs_full,
     pattern_multisets_zero_boundary,
     starred_classes,
@@ -331,11 +331,10 @@ def _test_valley_hopping(n: int, pi: Permutation) -> str | None:
 
 
 def _test_extrema_counting(n: int, pi: Permutation) -> str | None:
+    by_extrema = coordinate_counts_by_extrema(pi)
     for which in ("2-13", "2-31", "31-2"):
         counts = coordinate_counts_zero_boundary(pi, which)
-        for i in range(1, n + 1):
-            direct = counts[i - 1]
-            paired = coordinate_stat_by_extrema(pi, which, i)
+        for i, (direct, paired) in enumerate(zip(counts, by_extrema[which], strict=True), start=1):
             if direct != paired:
                 return f"{pi.to_text()}: {which} at {i}: {direct} != {paired}"
     return None

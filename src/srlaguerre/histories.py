@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import product
+from operator import index
 from typing import Iterable, Iterator
 
-from .multiset import IntMultiset, _distinct, _int_token, _one_based, _with_counts, as_ints
+from .multiset import IntMultiset, _int_token, _one_based, as_ints
 
 
 class StepType(IntEnum):
@@ -42,6 +43,10 @@ class StepType(IntEnum):
 _RISE = (1, 0, 0, -1)  # indexed by step: N, E, dE, S
 _LETTER = {StepType.N: "N", StepType.E: "E", StepType.DE: "D", StepType.S: "S"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
+_BY_VALUE = {s.value: s for s in StepType}
+# Members bound once: reading them off the class costs an attribute lookup
+# on every step of the per-step loops.
+_N, _E, _DE = StepType.N, StepType.E, StepType.DE
 
 NE_STEPS = frozenset((StepType.N, StepType.E))
 NDE_STEPS = frozenset((StepType.N, StepType.DE))
@@ -82,7 +87,7 @@ class LaguerreHistory:
     __slots__ = ("w", "h", "c")
 
     def __init__(self, w: Iterable[StepType], c: Iterable[int]):
-        w = tuple(StepType(s) for s in w)
+        w = _as_steps(w)
         c = as_ints(c, "history weights")
         self.w = w
         self.h = _heights(w)
@@ -160,6 +165,22 @@ class LaguerreHistory:
         return cls(_parse_steps(w), c)
 
 
+def _as_steps(values: Iterable[object]) -> tuple[StepType, ...]:
+    """The values as steps, each an exact integer 0..3.  ``StepType(v)``
+    alone looks v up by hash, so it would read 1.0 and ``True`` as E;
+    ``operator.index`` rejects the float, and the two bools are rejected
+    by identity first, as in ``as_ints``."""
+    steps = []
+    for v in values:
+        try:
+            if v is True or v is False:
+                raise TypeError
+            steps.append(_BY_VALUE[index(v)])
+        except (TypeError, KeyError):
+            raise ValueError(f"history steps must be integers 0..3, got {v!r}") from None
+    return tuple(steps)
+
+
 def _parse_steps(letters: Iterable[str]) -> tuple[StepType, ...]:
     """Step letters (N, E, D, S) as steps; any other letter is a ValueError."""
     try:
@@ -218,32 +239,52 @@ class HistoryStatRecord:
 
 
 def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
-    w, h, c = history.w, history.h, history.c
-    n = len(w)
-    cs = critical_step(history)
+    """The statistics of ``history``, filled in one pass over its steps.
 
-    # The indices before, at and after cs, each side bucketed by step type.
-    sides = (([], [], [], []), ([], [], [], []), ([], [], [], []))
-    for i, step in enumerate(w, start=1):
-        sides[(i >= cs) + (i > cs)][step].append(i)
-    (b_n, b_e, b_de, b_s), (cs_n, _, _, _), (a_n, a_e, a_de, a_s) = sides
-    # Step n ends the path at height 0, so it is E or S: Nde is N ∪ dE
-    # over all of [n].  Every multiset holds distinct indices in [n], and
-    # every height and weight is nonnegative, so none is validated again.
-    return HistoryStatRecord(
-        cs=cs,
-        Neb=_distinct(b_n + b_e),
-        Sdeb=_distinct(b_de + b_s),
-        Ndeb=_distinct(b_n + b_de),
-        Nea=_distinct(a_n + a_e),
-        Sdea=_distinct(a_de + a_s),
-        Ndea=_distinct(a_n + a_de),
-        Nde=_distinct(b_n + b_de + cs_n + a_n + a_de),
-        Asc=_distinct(i for i in range(1, n)
-                      if c[i - 1] < c[i] + (w[i - 1] not in NE_STEPS)),
-        Ht=_with_counts(range(1, n + 1), h),
-        Wt=_with_counts(range(1, n + 1), c),
-    )
+    Each index lands in the entry dicts of its class and side of cs, and
+    of Nde, Asc, Ht and Wt, and each dict becomes a multiset once.  The
+    entries are distinct indices in [n], each with multiplicity 1 or a
+    nonzero height or weight, so no multiset is validated again.
+    """
+    w, h, c = history.w, history.h, history.c
+    cs = critical_step(history)
+    neb, sdeb, ndeb, nea, sdea, ndea, nde, asc, ht, wt = {}, {}, {}, {}, {}, {}, {}, {}, {}, {}
+    # c_i - 1 for an SdE step i, c_i for an NE step: i ascends when this
+    # is below c_{i+1}.  It starts at c_1, so no index 0 ascends.
+    low = c[0] if c else 0
+    for i, (step, height, weight) in enumerate(zip(w, h, c), start=1):
+        if i < cs:
+            if step is _N:
+                neb[i] = ndeb[i] = nde[i] = 1
+            elif step is _E:
+                neb[i] = 1
+            elif step is _DE:
+                sdeb[i] = ndeb[i] = nde[i] = 1
+            else:
+                sdeb[i] = 1
+        elif i > cs:
+            if step is _N:
+                nea[i] = ndea[i] = nde[i] = 1
+            elif step is _E:
+                nea[i] = 1
+            elif step is _DE:
+                sdea[i] = ndea[i] = nde[i] = 1
+            else:
+                sdea[i] = 1
+        elif step is _N:
+            # cs is an N or E step.  Step n ends the path at height 0, so
+            # it is E or S: Nde is N ∪ dE over all of [n].
+            nde[i] = 1
+        if low < weight:
+            asc[i - 1] = 1
+        low = weight - (step > _E)
+        if height:
+            ht[i] = height
+        if weight:
+            wt[i] = weight
+    make = IntMultiset._unchecked
+    return HistoryStatRecord(cs, make(neb), make(sdeb), make(ndeb), make(nea), make(sdea),
+                             make(ndea), make(nde), make(asc), make(ht), make(wt))
 
 
 def _words(n: int) -> Iterator[tuple[tuple[StepType, ...], tuple[int, ...]]]:

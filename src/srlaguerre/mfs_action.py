@@ -10,8 +10,11 @@ order, and not validated, as a tree on [n] read in order is a permutation;
 the zero-boundary coordinate counts are one ``coordinate_counts`` sweep
 per statistic, and the three zero-boundary multisets are built from those
 counts by ``_with_counts``, three sweeps in all, from which valley hopping
-also reads the plain 2-13 and 31-2 multisets; the extrema recount
-``coordinate_stat_by_extrema`` is O(n) per position, as an oracle.
+also reads the plain 2-13 and 31-2 multisets; fact4.8's independent
+route, ``coordinate_counts_by_extrema``, builds the extrema sequence once
+per permutation and scans the witness pairs of a statistic for each
+position, O(n) per position and O(n^2) per permutation; it is fact4.8's
+second route to those counts, not a fast path.
 """
 
 from __future__ import annotations
@@ -157,31 +160,31 @@ def _extrema_sequence(pi: Permutation) -> list[tuple[int, int, StepType]]:
     return out
 
 
-def coordinate_stat_by_extrema(pi: Permutation, which: str, i: int) -> int:
-    """Zero-boundary coordinate statistic recomputed from consecutive extrema.
+# Per statistic: the classes of a consecutive extrema pair that witnesses
+# an occurrence, and whether the pair lies right of the position (it
+# counts when i < j for a pair at positions j < k) or left (when k < i).
+_BRACKETS = {"2-13": (_N, _S, True), "2-31": (_S, _N, True), "31-2": (_S, _N, False)}
+
+
+def coordinate_counts_by_extrema(pi: Permutation) -> dict[str, tuple[int, ...]]:
+    """Each zero-boundary coordinate statistic at every position, counted
+    from consecutive extrema, keyed by statistic.
 
     Each occurrence is witnessed by a consecutive valley/peak pair (no other
     extremum strictly between them) bracketing the value pi(i): ``2-13`` uses
     a (valley, peak) pair to the right of i, ``2-31`` a (peak, valley) pair
-    to the right, and ``31-2`` a (peak, valley) pair to the left.  Serves as
-    an independent oracle for the direct zero-boundary counts.
+    to the right, and ``31-2`` a (peak, valley) pair to the left.  One
+    ``_extrema_sequence`` serves all three; each count scans the witness
+    pairs of its statistic, O(n) per position.  An independent route to the
+    counts of ``coordinate_counts_zero_boundary``.
     """
-    v = pi.value(i)
     extrema = _extrema_sequence(pi)
-    count = 0
-    for (j, vj, kind_j), (k, vk, kind_k) in zip(extrema, extrema[1:]):
-        if which == "2-13":
-            if kind_j is _N and kind_k is _S and i < j:
-                if vj < v < vk:
-                    count += 1
-        elif which == "2-31":
-            if kind_j is _S and kind_k is _N and i < j:
-                if vk < v < vj:
-                    count += 1
-        elif which == "31-2":
-            if kind_j is _S and kind_k is _N and k < i:
-                if vk < v < vj:
-                    count += 1
-        else:
-            raise ValueError(f"unknown coordinate statistic: {which!r}")
-    return count
+    counts = {}
+    for which, (first, second, right) in _BRACKETS.items():
+        brackets = [(j if right else k, min(vj, vk), max(vj, vk))
+                    for (j, vj, kind_j), (k, vk, kind_k) in zip(extrema, extrema[1:])
+                    if kind_j is first and kind_k is second]
+        counts[which] = tuple(
+            sum(lo < v < hi and (i < at if right else at < i) for at, lo, hi in brackets)
+            for i, v in enumerate(pi.word, start=1))
+    return counts

@@ -6,11 +6,12 @@ from __future__ import annotations
 import sys
 import threading
 from bisect import bisect_left, insort
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from srlaguerre import bijections, claims, perm_stats
+from srlaguerre import bijections, claims, genfun, histories, perm_stats
 from srlaguerre.bijections import (
     phi_fv,
     phi_fv_inv,
@@ -21,7 +22,7 @@ from srlaguerre.bijections import (
 )
 from srlaguerre.claims import claim_ids, run_claim
 from srlaguerre.cli import main
-from srlaguerre.histories import NE_STEPS, LaguerreHistory, StepType
+from srlaguerre.histories import NDE_STEPS, NE_STEPS, LaguerreHistory, StepType
 from srlaguerre.mfs_action import StarredClasses
 from srlaguerre.multiset import IntMultiset, OutOfRange
 from srlaguerre.perm_stats import iter_perms, trivial_bijection
@@ -71,7 +72,8 @@ PINNED = [
     ("phi_csz", lambda pi: pi, [
         ("csz-corollary", 3, 3, "2,3,1: Dt/Exc: {3} != {2,3}"),
     ]),
-    ("coordinate_stat_by_extrema", lambda pi, which, i: 0, [
+    ("coordinate_counts_by_extrema",
+     lambda pi: dict.fromkeys(("2-13", "2-31", "31-2"), (0,) * pi.n), [
         ("fact4.8", 2, 0, "1,2: 2-31 at 1: 1 != 0"),
     ]),
 ]
@@ -338,6 +340,117 @@ def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
     _patch_everywhere(monkeypatch, getattr(perm_stats, name), mutant)
     got = {claim: _first_failure(claim)[1::2] for claim in expected}
     assert got == expected
+
+
+_history_statistics = histories.history_statistics
+
+
+def _asc_strict_for_every_step(history):
+    """``history_statistics`` with the NE rule c_i < c_{i+1} for every step,
+    as if its loop kept ``low = weight`` for SdE steps too."""
+    c = history.c
+    return replace(_history_statistics(history),
+                   Asc=IntMultiset(i for i in range(1, history.n) if c[i - 1] < c[i]))
+
+
+def _cs_step_left_out_of_nde(history):
+    """``history_statistics`` without its branch that puts an N step at cs
+    into Nde."""
+    record = _history_statistics(history)
+    return replace(record, Nde=IntMultiset(i for i in record.Nde if i != record.cs))
+
+
+def _step_after_cs_counted_before(history):
+    """``history_statistics`` with its before-side test ``i < cs`` widened
+    to ``i < cs or i == cs + 1``."""
+    record = _history_statistics(history)
+    j = record.cs + 1
+    if j > history.n:
+        return record
+    step = history.step(j)
+
+    def moved(before, after, joins):
+        kept = IntMultiset(i for i in after if i != j)
+        return (before | IntMultiset([j]) if joins else before), kept
+
+    neb, nea = moved(record.Neb, record.Nea, step in NE_STEPS)
+    sdeb, sdea = moved(record.Sdeb, record.Sdea, step not in NE_STEPS)
+    ndeb, ndea = moved(record.Ndeb, record.Ndea, step in NDE_STEPS)
+    return replace(record, Neb=neb, Nea=nea, Sdeb=sdeb, Sdea=sdea, Ndeb=ndeb, Ndea=ndea)
+
+
+def _last_weight_dropped_from_wt(history):
+    """``history_statistics`` with its Wt entry skipped at i = n."""
+    record = _history_statistics(history)
+    return replace(record, Wt=IntMultiset(i for i in record.Wt if i != history.n))
+
+
+def _first_failure_or_raise(claim_id: str) -> tuple:
+    """(first failing n in 1..5, counterexample), with the exception's
+    name in place of the text when the claim raises instead."""
+    for n in range(1, 6):
+        try:
+            outcome = run_claim(claim_id, n)
+        except ValueError as exc:
+            return (n, f"raises {type(exc).__name__}")
+        if outcome.status == "fail":
+            return (n, outcome.counterexample)
+    return (None, None)
+
+
+# Mutants of the one-pass ``history_statistics``, each written as a wrapper
+# with the output of the code mutation it names.  Every claim that reads a
+# history's statistic record is pinned: cor3.3, cor3.6 and cor1.1 on xi,
+# and Props 4.3, 4.10 and 4.17 on the encodings.  (None, None) marks a
+# claim that reads no mutated entry, so it is no gap: cor3.3 reads neither
+# Asc nor Nde, no encoding claim reads the history's Nde (``_KEYS`` has no
+# history column for it), and only the linear view reads Asc.
+_HISTORY_CLAIMS = ("cor3.3", "cor3.6", "cor1.1", "prop4.3", "prop4.10", "prop4.17")
+HISTORY_STAT_MUTANTS = [
+    (_asc_strict_for_every_step, [
+        (None, None),
+        (3, "NDS/0,1,1: Asc: {2} != {}"),
+        (3, "NDS/0,1,1: exponent relations violated"),
+        (3, "3,2,1: Ides: {1,2} != {1}"),
+        (None, None),
+        (None, None),
+    ]),
+    (_cs_step_left_out_of_nde, [
+        (None, None),
+        (2, "NS/0,1: Nde: {1} != {}"),
+        (2, "NS/0,1: exponent relations violated"),
+        (None, None),
+        (None, None),
+        (None, None),
+    ]),
+    (_step_after_cs_counted_before, [
+        (2, "NS/0,1: (0, 0, 1, 0, 0) != (0, 0, 0, 0, 1)"),
+        (2, "NS/0,1: Sdeb: {2} != {}"),
+        (2, "NS/0,1: exponent relations violated"),
+        (2, "2,1: Dtb: {} != {2}"),
+        (2, "2,1: Excb: {} != {2}"),
+        (2, "1,2: Vnepb: {} != {2}"),
+    ]),
+    # The encoding claims subtract Nea and Sdea from Wt, so the short Wt
+    # raises there instead of failing a comparison.
+    (_last_weight_dropped_from_wt, [
+        (2, "NS/0,1: (1, 0, 0, 0, 1) != (0, 0, 0, 0, 1)"),
+        (2, "NS/0,1: Wt: {} != {2}"),
+        (2, "NS/0,1: exponent relations violated"),
+        (2, "raises ContainmentViolation"),
+        (2, "raises ContainmentViolation"),
+        (2, "raises ContainmentViolation"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("mutant, expected", HISTORY_STAT_MUTANTS,
+                         ids=[row[0].__name__.lstrip("_") for row in HISTORY_STAT_MUTANTS])
+def test_history_statistics_mutants_fail_the_claims(monkeypatch, mutant, expected):
+    # claims and genfun (through cor1.1's exponents) each import the kernel.
+    _patch_everywhere(monkeypatch, _history_statistics, mutant)
+    assert claims.history_statistics is mutant and genfun.history_statistics is mutant
+    assert [_first_failure_or_raise(claim) for claim in _HISTORY_CLAIMS] == expected
 
 
 # Every swap of two entries within one family column of ``claims._KEYS``:

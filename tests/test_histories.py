@@ -132,6 +132,22 @@ def test_bool_weights_rejected():
         LaguerreHistory([N, S], [False, True])
 
 
+@pytest.mark.parametrize("steps, bad", [
+    ((1.0, 1.0), "1.0"), ((3.0,), "3.0"), ((True, False), "True"),
+    ((0, "S"), "'S'"), ((N, 4), "4"), ((-1,), "-1"),
+])
+def test_bool_and_non_integer_steps_rejected(steps, bad):
+    # StepType(1.0) and StepType(True) would read as E by hash.
+    with pytest.raises(ValueError, match=re.escape(f"history steps must be integers 0..3, got {bad}")):
+        LaguerreHistory(steps, [0] * len(steps))
+
+
+def test_integer_steps_read_as_step_types():
+    history = LaguerreHistory((0, 1, 2, 3), (0, 0, 1, 1))
+    assert history.w == (N, E, DE, S)
+    assert all(type(step) is StepType for step in history.w)
+
+
 @pytest.mark.parametrize("text, token", [("E/٠", "٠"), ("E/+0", "+0"), ("NS/0,1_0", "1_0")])
 def test_from_text_reads_ascii_weights_only(text, token):
     message = f"invalid literal for int() with base 10: {token!r}"

@@ -8,7 +8,8 @@ multisets were built from (value, count) pairs, the column placement found
 its slot in a list of open slots, the shifted-cyclic decoder went through
 the cyclic one and the Kreweras complement, the linear decoder
 and valley hopping became a pass over a binary tree, ``history_statistics``
-became one bucketing pass, and the XI_TABLE row of a position was found by
+became one pass that fills its ten entry dicts, and the XI_TABLE row of a
+position was found by
 a branch chain instead of the table's own key columns.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
 kernels must agree with them on all of S_n for n <= 7 and on seeded random
