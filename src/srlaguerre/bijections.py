@@ -3,11 +3,13 @@
 Three encodings are provided with their inverses: the linear one driven by
 value classes and descent-based weights (phi_fv), the cyclic one driven by
 excedance classes and side numbers (phi_fz), and the shifted-cyclic one
-driven by nestings around the position of 1 (phi_yzl).  The shifted-cyclic
-decoder is the cyclic one followed by the inverse Kreweras complement,
-since phi_yzl = phi_fz o kreweras.  Derived maps: the composition phi_csz,
-the mirror theta, the Kreweras complement, and the permutation maps
-obtained by conjugating the path involution xi through each encoding.
+driven by nestings around the position of 1 (phi_yzl), each reading its
+steps off the one letter-class rule of ``perm_stats``.  phi_yzl's letters
+are compared with the Kreweras word, and its decoder is the cyclic one
+followed by the inverse Kreweras complement, since phi_yzl = phi_fz o
+kreweras.  Derived maps: the composition phi_csz, the mirror theta, the
+Kreweras complement, and the permutation maps obtained by conjugating the
+path involution xi through each encoding.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from .histories import (
 from .involution import xi
 from .perm_stats import (
     Permutation,
+    _pone,
     coordinate_counts,
     cyclic_classes,
     in_order,
-    linear_class,
+    linear_classes,
     shifted_classes,
     side_numbers,
     variant_nesting_numbers,
@@ -66,14 +69,11 @@ def phi_fv(pi: Permutation) -> LaguerreHistory:
     of i is its 2-31 coordinate count, plus one on S and dE steps.  One
     ``coordinate_counts`` sweep gives every count.
     """
-    word = pi.word
-    right = pi.n + 1
+    classes = linear_classes(pi.word, 0, pi.n + 1)
     counts = coordinate_counts(pi, "2-31")
     positions = pi.inverse_word
-    return _history(
-        [linear_class(word, p, 0, right) for p in positions],
-        [counts[p - 1] for p in positions],
-    )
+    return _history([classes[p - 1] for p in positions],
+                    [counts[p - 1] for p in positions])
 
 
 def phi_fv_inv(history: LaguerreHistory) -> Permutation:
@@ -125,7 +125,8 @@ def phi_fz(pi: Permutation) -> LaguerreHistory:
     pi^{-1}(i), plus one on S and dE steps.
     """
     side = side_numbers(pi)
-    return _history(cyclic_classes(pi), [side[p - 1] for p in pi.inverse_word])
+    inverse = pi.inverse_word
+    return _history(cyclic_classes(pi.word, inverse), [side[p - 1] for p in inverse])
 
 
 def _place(values: list[int], weights: dict[int, int], size: int,
@@ -185,23 +186,18 @@ def phi_fz_inv(history: LaguerreHistory) -> Permutation:
 # ---------------------------------------------------------------------------
 
 def phi_yzl(pi: Permutation) -> LaguerreHistory:
-    """Encode by the shifted-cyclic class of each index.
+    """Encode by the shifted class of each index i = 1..n.
 
-    For i < n the step is the shifted class of i (``shifted_classes``),
-    except at pone (the position of the letter 1), where pi(pone) = 1
-    leaves only S or dE and these become E and N.  i = n takes S unless
-    pone = n, in which case E.  The weight of i is the variant nesting
-    number, plus one on S and dE steps.  The empty permutation encodes to
-    the empty history.
+    The steps are ``shifted_classes`` of pi with the letter 1 read as n+1
+    and the positions of 2, ..., n, 1 read off the Kreweras word
+    pi^{-1}(2) ... pi^{-1}(n) pi^{-1}(1).  The weight of i is the variant
+    nesting number, plus one on S and dE steps.  The empty permutation
+    encodes to the empty history.
     """
-    n = pi.n
-    if not n:
-        return _history([], [])
-    pone = pi.position(1)
-    steps = shifted_classes(pi)
-    if pone < n:
-        steps[pone - 1] = StepType.E if steps[pone - 1] is StepType.S else StepType.N
-    steps.append(StepType.E if pone == n else StepType.S)
+    word, inverse = pi.word, pi.inverse_word
+    pone = _pone(word)
+    steps = shifted_classes(word[:pone - 1] + (pi.n + 1,) + word[pone:],
+                            inverse[1:] + inverse[:1])
     return _history(steps, variant_nesting_numbers(pi))
 
 

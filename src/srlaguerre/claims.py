@@ -186,7 +186,7 @@ def _test_exponent_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
 
 # Props 4.3, 4.10 and 4.17 in check order: a multiset of the encoded history
 # and the ones standing for it in the linear, cyclic and shifted families
-# (None: no counterpart).  Only Cor 3.6's images read Nde.
+# (None: no counterpart).
 _KEYS = {
     "Sdeb": ("Sdeb", "Dtb", "Excb", "Vnepb"),
     "Sdea": ("Sdea", "Dta", "Exca", "Vnepa"),
@@ -195,7 +195,7 @@ _KEYS = {
     "Neb": ("Neb", "Abb", "Nexcb", "Vepb"),
     "Nea": ("Nea", "Aba", "Nexca", "Vepa"),
     "Asc": ("Asc", "Ides", None, None),
-    "Nde": (None, "Db", "Ep", "Vnex"),
+    "Nde": ("Nde", "Db", "Ep", "Vnex"),
     "Ht": ("Ht", "Ddif", "Edif", "Vedif"),
     "Wt": ("Wt", "Dt+2-31", "Exc+Ine", "Vnepb+Vnepa+Vnest"),
     "2-13": ("(Wt-Nea)-Sdea", "2-13", "Ine+Excb-Nexca", "Vnest+Vnepb-Vepa"),

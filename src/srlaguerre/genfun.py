@@ -261,7 +261,7 @@ def joint_distribution(
     poly = MultiPoly(_distribution_variables(len(stats)))
     perms: Iterable = avoiders(n, filter) if filter else iter_perms(n)
     for pi in perms:
-        poly.add_term(tuple(fn(pi) for fn in fns))
+        poly.add_term(tuple([fn(pi) for fn in fns]))
     return poly
 
 
@@ -281,18 +281,16 @@ PQ_EULERIAN_SUBST: dict[str, dict[str, int]] = {
 def qt_catalan(n: int) -> MultiPoly:
     """(q,t)-Catalan polynomial in variables (t, q).
 
-    Computed directly as the distribution of (des, 31-2) over 213-avoiders,
-    and cross-checked against the p -> 0 limit of the (p,q)-Eulerian
-    specialization of A_n, which ``_transfer`` builds in the variables
-    (t, p, q) alone; raises NegativePDegree if the limit does not exist,
-    and ValueError if the two computations disagree or n < 1.
+    Computed directly as the ``joint_distribution`` of (des, 31-2) over
+    213-avoiders, renamed to (t, q), and cross-checked against the p -> 0
+    limit of the (p,q)-Eulerian specialization of A_n, which ``_transfer``
+    builds in the variables (t, p, q) alone; raises NegativePDegree if the
+    limit does not exist, and ValueError if the two computations disagree
+    or n < 1.
     """
     pq = _transfer(n, PQ_EULERIAN_SUBST)
-    direct = MultiPoly(("t", "q"))
-    des = statistic("des")
-    three_one_two = statistic("u31_2")
-    for pi in avoiders(n, (2, 1, 3)):
-        direct.add_term((des(pi), three_one_two(pi)))
+    direct = specialize(joint_distribution(n, ["des", "u31_2"], (2, 1, 3)),
+                        {"q1": {"t": 1}, "q2": {"q": 1}})
 
     p_index = pq.variables.index("p")
     limit = MultiPoly(("t", "q"))

@@ -159,10 +159,11 @@ class LaguerreHistory:
     @classmethod
     def from_json(cls, data: dict) -> "LaguerreHistory":
         try:
-            w, c = data["w"], data["c"]
+            return cls(_parse_steps(data["w"]), data["c"])
         except KeyError as exc:
             raise ValueError(f"history JSON lacks key {exc.args[0]!r}") from None
-        return cls(_parse_steps(w), c)
+        except TypeError:
+            raise ValueError(f"history JSON must be an object of lists, got {data!r}") from None
 
 
 def _as_steps(values: Iterable[object]) -> tuple[StepType, ...]:

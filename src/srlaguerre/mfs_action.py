@@ -22,19 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .histories import StepType
-from .multiset import IntMultiset, _distinct, _with_counts
-from .perm_stats import (_COORDINATES, Permutation, coordinate_counts,
-                         in_order, linear_class)
+from .multiset import IntMultiset, _with_counts
+from .perm_stats import (_COORDINATES, Permutation, _by_step, coordinate_counts,
+                         in_order, linear_classes)
 
 # Enum members bound once: reading them off the class costs an attribute
 # lookup on every use in the per-letter loops.
-_N, _E, _DE, _S = StepType.N, StepType.E, StepType.DE, StepType.S
+_N, _S = StepType.N, StepType.S
 
 
 @dataclass(frozen=True)
 class StarredClasses:
-    """Values of a permutation by their ``linear_class`` under the zero
-    boundary: peaks S, valleys N, double ascents E, double descents dE."""
+    """Values of a permutation by their ``linear_classes`` step under the
+    zero boundary: peaks S, valleys N, double ascents E, double descents dE."""
 
     Lpk: IntMultiset
     Lval: IntMultiset
@@ -44,16 +44,8 @@ class StarredClasses:
 
 def starred_classes(pi: Permutation) -> StarredClasses:
     """Classify every value of pi as peak / valley / double ascent / descent."""
-    word = pi.word
-    values: tuple[list[int], ...] = ([], [], [], [])
-    for p, v in enumerate(word, start=1):
-        values[linear_class(word, p, 0, 0)].append(v)
-    return StarredClasses(
-        Lpk=_distinct(values[_S]),
-        Lval=_distinct(values[_N]),
-        Lda=_distinct(values[_E]),
-        Ldd=_distinct(values[_DE]),
-    )
+    lval, lda, ldd, lpk = _by_step(pi.word, linear_classes(pi.word, 0, 0))
+    return StarredClasses(Lpk=lpk, Lval=lval, Lda=lda, Ldd=ldd)
 
 
 def x_factorization(
@@ -77,7 +69,7 @@ def x_factorization(
 
 def mfs_phi_x(pi: Permutation, x: int) -> Permutation:
     """One hop: swap the blocks around x unless x is a valley."""
-    if linear_class(pi.word, pi.position(x), 0, 0) is _N:
+    if linear_classes(pi.word, 0, 0)[pi.position(x) - 1] is _N:
         return pi
     w1, w2, w3, w4 = x_factorization(pi, x)
     return Permutation(w1 + w3 + (x,) + w2 + w4)
@@ -152,10 +144,9 @@ def _extrema_sequence(pi: Permutation) -> list[tuple[int, int, StepType]]:
     and n+1.
     """
     out = [(0, 0, _N)]
-    for p in range(1, pi.n + 1):
-        kind = linear_class(pi.word, p, 0, 0)
+    for p, (v, kind) in enumerate(zip(pi.word, linear_classes(pi.word, 0, 0)), start=1):
         if kind is _N or kind is _S:
-            out.append((p, pi.word[p - 1], kind))
+            out.append((p, v, kind))
     out.append((pi.n + 1, 0, _N))
     return out
 

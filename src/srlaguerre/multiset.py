@@ -190,7 +190,10 @@ class IntMultiset:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "IntMultiset":
-        return cls.from_pairs(as_ints(pair, "multiset JSON entries") for pair in data)
+        try:
+            return cls.from_pairs(as_ints(pair, "multiset JSON entries") for pair in data)
+        except TypeError:
+            raise ValueError(f"multiset JSON must be a list of pairs, got {data!r}") from None
 
 
 def kappa(n: int, a: IntMultiset) -> IntMultiset:

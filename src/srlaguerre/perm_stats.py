@@ -6,6 +6,11 @@ numbers, inversion-entry multisets), the shifted-cyclic family (nestings and
 their variant around the position of 1), vincular pattern counters, and a
 registry of 35 Mahonian statistics.
 
+The letter classes, which the encodings read as steps, follow one rule,
+``_STEPS``: two comparisons of a letter with the neighbours its family
+supplies, in the word (linear), pi(v) and pi^{-1}(v) (cyclic), or the
+position of i + 1 and pi(i) for the letter i + 1 (shifted).
+
 The registry is a formula table, ``MAHONIAN_TABLE``: each statistic is an
 integer combination of ingredients (vincular pattern counts and family
 cardinalities) plus a closed-form term in n, in the manner of
@@ -45,15 +50,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations as _permutations
+from itertools import accumulate, count, permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .histories import StepType
 from .multiset import IntMultiset, _distinct, _int_token, _one_based, _with_counts, as_ints
-
-# Enum members bound once: reading them off the class costs an attribute
-# lookup on every use in the per-letter loops.
-_N, _E, _DE, _S = StepType.N, StepType.E, StepType.DE, StepType.S
 
 
 class NotAPermutation(ValueError):
@@ -163,7 +164,10 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "Permutation":
-        return cls(data)
+        try:
+            return cls(data)
+        except TypeError:
+            raise ValueError(f"permutation JSON must be a list, got {data!r}") from None
 
 
 def iter_perms(n: int) -> Iterator[Permutation]:
@@ -239,6 +243,49 @@ def _left_ranks(letters: Sequence[int]) -> list[int]:
         ranks.append(bisect_left(seen, v))
         insort(seen, v)
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# Letter classes
+# ---------------------------------------------------------------------------
+
+# A letter's step is 2 if it lies above its right neighbour, plus 1 if it
+# lies above its left one: a valley N, a double ascent E, a double descent
+# dE and a peak S.  (Conditional expressions, as bool arithmetic is slow.)
+_STEPS = tuple(StepType)
+
+
+def _steps(lefts: Iterable[int], letters: Iterable[int],
+           rights: Iterable[int]) -> list[StepType]:
+    return [_STEPS[(2 if v > r else 0) + (1 if l < v else 0)]
+            for l, v, r in zip(lefts, letters, rights)]
+
+
+def linear_classes(word: tuple[int, ...], left: int, right: int) -> list[StepType]:
+    """The step of each letter between its neighbours in the word, with
+    ``left`` and ``right`` standing beyond its ends."""
+    return _steps((left,) + word, word, word[1:] + (right,))
+
+
+def cyclic_classes(word: Sequence[int], inverse: Sequence[int]) -> list[StepType]:
+    """The step of each value v between pi(v) and pi^{-1}(v), comparing
+    pi(v) <= v so that a fixed point reads as E."""
+    return [_STEPS[(2 if v > p else 0) + (1 if q <= v else 0)]
+            for v, q, p in zip(count(1), word, inverse)]
+
+
+def shifted_classes(word: Sequence[int], later: Sequence[int]) -> list[StepType]:
+    """The step of each i, one per entry of ``later``, as the letter i + 1
+    between its position ``later[i-1]`` and pi(i) = ``word[i-1]``."""
+    return _steps(later, count(2), word)
+
+
+def _by_step(items: Iterable[int], steps: Iterable[StepType]) -> list[IntMultiset]:
+    """The items of each step, in the order N, E, dE, S."""
+    buckets: tuple[list[int], ...] = ([], [], [], [])
+    for item, step in zip(items, steps):
+        buckets[step].append(item)
+    return [_distinct(bucket) for bucket in buckets]
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +403,6 @@ def _side_numbers(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(side)
 
 
-def cyclic_classes(pi: Permutation) -> list[StepType]:
-    """The cyclic class of each value v = 1..n, as a step.
-
-    With p = pi^{-1}(v) and q = pi(v): a cyclic valley (p > v < q) is N, a
-    cyclic peak (p < v > q) S, a cyclic double descent or fixed point
-    (p >= v >= q) E, and a cyclic double ascent (p < v < q) dE.
-    """
-    classes = []
-    for v, (q, p) in enumerate(zip(pi.word, pi.inverse_word), start=1):
-        if p > v < q:
-            classes.append(_N)
-        elif p < v > q:
-            classes.append(_S)
-        elif p >= v >= q:
-            classes.append(_E)
-        else:
-            classes.append(_DE)
-    return classes
-
-
 def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     """The cyclic family, at the cost of the side numbers."""
     word = pi.word
@@ -385,9 +412,7 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
     exc = [word[i - 1] for i in ep]
     nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
     side = side_numbers(pi)
-    values: tuple[list[int], ...] = ([], [], [], [])
-    for v, step in enumerate(cyclic_classes(pi), start=1):
-        values[step].append(v)
+    cval, cdd, cda, cpk = _by_step(range(1, n + 1), cyclic_classes(word, pi.inverse_word))
     return CyclicStatRecord(
         Exc=_distinct(exc),
         Nexc=_distinct(nexc),
@@ -402,10 +427,7 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
         Ebot=_with_counts(ep, ep),
         Ine=_with_counts(word, side),
         side=side,
-        Cpk=_distinct(values[_S]),
-        Cval=_distinct(values[_N]),
-        Cda=_distinct(values[_DE]),
-        Cdd=_distinct(values[_E]),
+        Cpk=cpk, Cval=cval, Cda=cda, Cdd=cdd,
     )
 
 
@@ -473,25 +495,6 @@ def _variant_nesting(
     return tuple(vnest)
 
 
-def shifted_classes(pi: Permutation) -> list[StepType]:
-    """The shifted class of each i in [n-1], as a step.
-
-    i rises on the left when pi(i) > i and on the right when
-    i + 1 <= pi^{-1}(i+1): a shifted valley (both) is N, a shifted peak
-    (neither) S, a left rise alone E and a right rise alone dE.
-    """
-    word = pi.word
-    inverse = pi.inverse_word
-    classes = []
-    for i in range(1, len(word)):
-        up_right = i + 1 <= inverse[i]
-        if word[i - 1] > i:
-            classes.append(_N if up_right else _E)
-        else:
-            classes.append(_DE if up_right else _S)
-    return classes
-
-
 def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     """The shifted-cyclic family, at the cost of the nestings."""
     word = pi.word
@@ -501,21 +504,17 @@ def shifted_family(pi: Permutation) -> ShiftedStatRecord:
     vnest = _variant_nesting(word, nest, pone)
     ep = [i for i in range(1, n + 1) if word[i - 1] > i]
     nep = [i for i in range(1, n + 1) if word[i - 1] <= i]
-    indices: tuple[list[int], ...] = ([], [], [], [])
-    for i, step in enumerate(shifted_classes(pi), start=1):
-        indices[step].append(i)
-    # i + 1 is no excedance value exactly when i rises on the right.
-    vnex = sorted(indices[_N] + indices[_DE])
+    inverse = pi.inverse_word
+    scval, scda, scdd, scpk = _by_step(range(1, n), shifted_classes(word, inverse[1:]))
+    # The i in [n-1] whose successor is no excedance value.
+    vnex = [i for i in range(1, n) if inverse[i] > i]
     vedif = [(i + 1, word[i - 1]) for i in ep]
     vedif.append((pone + 1, n + 1))
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
         vnest=vnest,
-        Scval=_distinct(indices[_N]),
-        Scpk=_distinct(indices[_S]),
-        Scda=_distinct(indices[_E]),
-        Scdd=_distinct(indices[_DE]),
+        Scval=scval, Scpk=scpk, Scda=scda, Scdd=scdd,
         Nep=_distinct(nep),
         Vnex=_distinct(vnex),
         Vnepb=_distinct(i for i in nep if i < pone),
@@ -998,25 +997,6 @@ def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
 # ---------------------------------------------------------------------------
 # Helpers shared with the encodings and valley hopping
 # ---------------------------------------------------------------------------
-
-def linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType:
-    """The linear class of the letter at 1-based position p, as a step:
-    valley N, peak S, double ascent E, double descent dE.
-
-    ``left`` and ``right`` are the boundary values used beyond the ends of
-    the word (e.g. 0 and n+1 for smaller-than-all / larger-than-all).
-    """
-    v = word[p - 1]
-    a = word[p - 2] if p > 1 else left
-    b = word[p] if p < len(word) else right
-    if a < v > b:
-        return _S
-    if a > v < b:
-        return _N
-    if a < v < b:
-        return _E
-    return _DE
-
 
 def in_order(left: Sequence[int], right: Sequence[int], root: int) -> tuple[int, ...]:
     """The values of a binary tree read in order, from ``root`` (0 for the

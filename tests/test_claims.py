@@ -1,11 +1,16 @@
 """Tests for the claim runner: pinned counterexample strings, threads, and
-mutations of the encoders, the shared sweeps and the encoding-claim table
-that the claims must catch."""
+mutations of the encoders, the letter-class rule, the shared sweeps, the
+encoding-claim table and its formulas that the claims must catch."""
 from __future__ import annotations
 
+import ast
+import copy
+import inspect
 import sys
 import threading
+import types
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -25,7 +30,7 @@ from srlaguerre.cli import main
 from srlaguerre.histories import NDE_STEPS, NE_STEPS, LaguerreHistory, StepType
 from srlaguerre.mfs_action import StarredClasses
 from srlaguerre.multiset import IntMultiset, OutOfRange
-from srlaguerre.perm_stats import iter_perms, trivial_bijection
+from srlaguerre.perm_stats import Permutation, iter_perms, trivial_bijection
 
 
 def _first_failure(claim_id: str) -> tuple:
@@ -178,7 +183,7 @@ def _first_catch() -> str | None:
     return None
 
 
-_CLASSIFIERS = (perm_stats.linear_class, perm_stats.cyclic_classes,
+_CLASSIFIERS = (perm_stats.linear_classes, perm_stats.cyclic_classes,
                 perm_stats.shifted_classes)
 _MUTANTS = [("weight rule", bijections._history,
              lambda steps, counts: LaguerreHistory(steps, list(counts)))] + [
@@ -193,6 +198,33 @@ _MUTANTS = [("weight rule", bijections._history,
 def test_encoder_mutants_are_caught(monkeypatch, label, original, mutant):
     _patch_everywhere(monkeypatch, original, mutant)
     assert _first_catch() is not None, f"mutant survives: {label}"
+
+
+def test_phi_yzl_reads_the_shifted_classifier(monkeypatch):
+    # So the shifted_classes mutants above reach the encoding as well as the
+    # shifted family.
+    calls = []
+    shifted_classes = perm_stats.shifted_classes
+
+    def recording(*args):
+        calls.append(args)
+        return shifted_classes(*args)
+
+    _patch_everywhere(monkeypatch, shifted_classes, recording)
+    phi_yzl(Permutation([2, 3, 1]))
+    assert calls == [((2, 3, 4), (1, 2, 3))]
+
+
+# Every swap of two entries of the one rule that maps a letter's two
+# comparisons to its step, ``perm_stats._STEPS``: each changes the linear,
+# cyclic and shifted classes at once.
+@pytest.mark.parametrize("a, b", list(combinations(StepType, 2)),
+                         ids=lambda step: step.name)
+def test_letter_rule_swaps_are_caught(monkeypatch, a, b):
+    steps = list(perm_stats._STEPS)
+    steps[a], steps[b] = steps[b], steps[a]
+    monkeypatch.setattr(perm_stats, "_STEPS", tuple(steps))
+    assert _first_catch() is not None, f"rule swap survives: {a.name}<->{b.name}"
 
 
 def _lowering_weight(encode):
@@ -403,8 +435,7 @@ def _first_failure_or_raise(claim_id: str) -> tuple:
 # history's statistic record is pinned: cor3.3, cor3.6 and cor1.1 on xi,
 # and Props 4.3, 4.10 and 4.17 on the encodings.  (None, None) marks a
 # claim that reads no mutated entry, so it is no gap: cor3.3 reads neither
-# Asc nor Nde, no encoding claim reads the history's Nde (``_KEYS`` has no
-# history column for it), and only the linear view reads Asc.
+# Asc nor Nde, and only the linear view reads Asc.
 _HISTORY_CLAIMS = ("cor3.3", "cor3.6", "cor1.1", "prop4.3", "prop4.10", "prop4.17")
 HISTORY_STAT_MUTANTS = [
     (_asc_strict_for_every_step, [
@@ -419,9 +450,9 @@ HISTORY_STAT_MUTANTS = [
         (None, None),
         (2, "NS/0,1: Nde: {1} != {}"),
         (2, "NS/0,1: exponent relations violated"),
-        (None, None),
-        (None, None),
-        (None, None),
+        (2, "2,1: Db: {1} != {}"),
+        (2, "2,1: Ep: {1} != {}"),
+        (2, "1,2: Vnex: {1} != {}"),
     ]),
     (_step_after_cs_counted_before, [
         (2, "NS/0,1: (0, 0, 1, 0, 0) != (0, 0, 0, 0, 1)"),
@@ -527,3 +558,72 @@ def test_every_keys_swap_fails_a_comparison_by_n4(monkeypatch, column, mutants):
         count += 1
     assert not survivors, f"_KEYS swaps no claim notices: {survivors}"
     assert count == mutants
+
+
+# ``claims._FORMULAS`` mutated in its source: each single ``|``/``-`` swap,
+# and each operation replaced by its left operand (its right operand
+# dropped).  A mutant module is the claims module compiled from the mutated
+# tree, so every claim is rebuilt as CLAIM_REGISTRY builds it.
+_FORMULA_CLAIMS = ("prop4.3", "prop4.10", "prop4.17", "cor4.4", "eta-corollary",
+                   "rho-corollary", "csz-corollary")
+
+
+def _formula_table(tree: ast.Module) -> ast.Dict:
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.AnnAssign) and node.target.id == "_FORMULAS")
+
+
+def _operations(formula: ast.Lambda) -> list[ast.BinOp]:
+    return [node for node in ast.walk(formula.body) if isinstance(node, ast.BinOp)]
+
+
+def _formula_mutants():
+    tree = ast.parse(inspect.getsource(claims))
+    for f, formula in enumerate(_formula_table(tree).values):
+        for k in range(len(_operations(formula))):
+            for kind in ("swap", "drop"):
+                mutant = copy.deepcopy(tree)
+                formula_copy = _formula_table(mutant).values[f]
+                node = _operations(formula_copy)[k]
+                if kind == "swap":
+                    node.op = ast.Sub() if isinstance(node.op, ast.BitOr) else ast.BitOr()
+                else:
+                    for parent in ast.walk(formula_copy):
+                        for field, value in ast.iter_fields(parent):
+                            if value is node:
+                                setattr(parent, field, node.left)
+                yield ast.unparse(formula_copy.body), mutant
+
+
+def _first_catch_by(module) -> str | None:
+    """How the first claim of ``_FORMULA_CLAIMS`` at n <= 5 that notices
+    ``module``'s mutant does so: "fail", or the name of the error it
+    raises; None if none does."""
+    for n in range(1, 6):
+        for claim in _FORMULA_CLAIMS:
+            try:
+                if module.run_claim(claim, n).status == "fail":
+                    return "fail"
+            except ValueError as exc:
+                return type(exc).__name__
+    return None
+
+
+def test_every_formula_mutant_is_caught_by_n5(monkeypatch):
+    # A survivor is a gap in the encoding claims, not a reason to loosen
+    # this test.  The six that raise subtract a multiset that is not
+    # contained in the other, a ContainmentViolation.
+    outcomes = Counter()
+    survivors = []
+    for label, tree in _formula_mutants():
+        module = types.ModuleType("srlaguerre._claims_mutant")
+        module.__package__ = "srlaguerre"
+        # dataclasses look their module up by name.
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(tree, claims.__file__, "exec"), module.__dict__)
+        outcome = _first_catch_by(module)
+        outcomes[outcome] += 1
+        if outcome is None:
+            survivors.append(label)
+    assert not survivors, f"_FORMULAS mutants no claim notices: {survivors}"
+    assert outcomes == {"fail": 32, "ContainmentViolation": 6}

@@ -122,6 +122,13 @@ def test_from_json_names_a_missing_key():
             LaguerreHistory.from_json(data)
 
 
+@pytest.mark.parametrize("data", [[1, 2], None, {"w": ["N", "S"], "c": 5},
+                                  {"w": 5, "c": [0]}])
+def test_from_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError, match="history JSON must be an object of lists, got"):
+        LaguerreHistory.from_json(data)
+
+
 def test_non_integer_weights_rejected():
     with pytest.raises(ValueError, match="history weights must be integers, got 0.5"):
         LaguerreHistory([N, E, S], [0, 0.5, 1])

@@ -8,16 +8,20 @@ multisets were built from (value, count) pairs, the column placement found
 its slot in a list of open slots, the shifted-cyclic decoder went through
 the cyclic one and the Kreweras complement, the linear decoder
 and valley hopping became a pass over a binary tree, ``history_statistics``
-became one pass that fills its ten entry dicts, and the XI_TABLE row of a
-position was found by
-a branch chain instead of the table's own key columns.  They are kept
+became one pass that fills its ten entry dicts, the XI_TABLE row of a
+position was found by a branch chain instead of the table's own key
+columns, and the linear, cyclic and shifted letter classes, three branch
+chains with phi_yzl's patch at the position of 1 and at step n on top,
+became one two-bit rule.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
 kernels must agree with them on all of S_n for n <= 7 and on seeded random
 permutations of size 50, 300 and 1000, the tree kernels and the
 left-rank readers (nesting numbers included) also on monotone words of
 size 3000, the left-rank readers on random words of size 3000, and the
 decoders, the history statistics and the row lookup on every history with
-n <= 7 and on random histories of size up to 200.  ``_old_phi_fv_inv``
+n <= 7 and on random histories of size up to 200.  The letter classes
+and the three encoders' step words are checked on all of S_n for n <= 7
+and on Hypothesis permutations of size up to 300.  ``_old_phi_fv_inv``
 rescans the word for empty slots at every letter, and
 ``_old_mfs_full_list`` hops one letter at a time on a list.
 ``_old_phi_yzl_inv`` is the semi-arc construction, so it also witnesses
@@ -37,6 +41,7 @@ from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_large_properties import large_histories
 
 from srlaguerre.bijections import (
@@ -45,6 +50,8 @@ from srlaguerre.bijections import (
     _place,
     phi_fv,
     phi_fv_inv,
+    phi_fz,
+    phi_yzl,
     phi_yzl_inv,
 )
 from srlaguerre.histories import (
@@ -75,11 +82,14 @@ from srlaguerre.perm_stats import (
     _one_glue_counts,
     _variant_nesting,
     coordinate_counts,
+    cyclic_classes,
     cyclic_family,
     iter_perms,
+    linear_classes,
     linear_family,
     nesting_numbers,
     pattern_multisets,
+    shifted_classes,
     shifted_family,
     side_numbers,
     vincular_count,
@@ -866,6 +876,112 @@ def test_history_layer_matches_oracles_on_small_histories():
 @given(large_histories())
 def test_history_layer_matches_oracles_on_large_histories(w_hist):
     _check_history_layer(w_hist)
+
+
+# ---------------------------------------------------------------------------
+# Letter classes
+# ---------------------------------------------------------------------------
+
+_N, _E, _DE, _S = StepType.N, StepType.E, StepType.DE, StepType.S
+
+
+def _old_linear_class(word: Sequence[int], p: int, left: int, right: int) -> StepType:
+    """The linear class of the letter at 1-based position p, as a step:
+    valley N, peak S, double ascent E, double descent dE.
+
+    ``left`` and ``right`` are the boundary values used beyond the ends of
+    the word (e.g. 0 and n+1 for smaller-than-all / larger-than-all).
+    """
+    v = word[p - 1]
+    a = word[p - 2] if p > 1 else left
+    b = word[p] if p < len(word) else right
+    if a < v > b:
+        return _S
+    if a > v < b:
+        return _N
+    if a < v < b:
+        return _E
+    return _DE
+
+
+def _old_cyclic_classes(pi: Permutation) -> list[StepType]:
+    """The cyclic class of each value v = 1..n, as a step.
+
+    With p = pi^{-1}(v) and q = pi(v): a cyclic valley (p > v < q) is N, a
+    cyclic peak (p < v > q) S, a cyclic double descent or fixed point
+    (p >= v >= q) E, and a cyclic double ascent (p < v < q) dE.
+    """
+    classes = []
+    for v, (q, p) in enumerate(zip(pi.word, pi.inverse_word), start=1):
+        if p > v < q:
+            classes.append(_N)
+        elif p < v > q:
+            classes.append(_S)
+        elif p >= v >= q:
+            classes.append(_E)
+        else:
+            classes.append(_DE)
+    return classes
+
+
+def _old_shifted_classes(pi: Permutation) -> list[StepType]:
+    """The shifted class of each i in [n-1], as a step.
+
+    i rises on the left when pi(i) > i and on the right when
+    i + 1 <= pi^{-1}(i+1): a shifted valley (both) is N, a shifted peak
+    (neither) S, a left rise alone E and a right rise alone dE.
+    """
+    word = pi.word
+    inverse = pi.inverse_word
+    classes = []
+    for i in range(1, len(word)):
+        up_right = i + 1 <= inverse[i]
+        if word[i - 1] > i:
+            classes.append(_N if up_right else _E)
+        else:
+            classes.append(_DE if up_right else _S)
+    return classes
+
+
+def _old_phi_yzl_steps(pi: Permutation) -> list[StepType]:
+    """phi_yzl's step word: for i < n the shifted class of i, except at
+    pone, where pi(pone) = 1 leaves only S or dE and these become E and N;
+    i = n takes S unless pone = n, in which case E."""
+    n = pi.n
+    if not n:
+        return []
+    pone = pi.position(1)
+    steps = _old_shifted_classes(pi)
+    if pone < n:
+        steps[pone - 1] = StepType.E if steps[pone - 1] is StepType.S else StepType.N
+    steps.append(StepType.E if pone == n else StepType.S)
+    return steps
+
+
+def _check_classes(pi: Permutation) -> None:
+    word, inverse = pi.word, pi.inverse_word
+    n = pi.n
+    for left, right in ((0, n + 1), (0, 0)):
+        assert linear_classes(word, left, right) == [
+            _old_linear_class(word, p, left, right) for p in range(1, n + 1)], pi
+    assert cyclic_classes(word, inverse) == _old_cyclic_classes(pi), pi
+    assert shifted_classes(word, inverse[1:]) == _old_shifted_classes(pi), pi
+    assert list(phi_fv(pi).w) == [_old_linear_class(word, p, 0, n + 1) for p in inverse], pi
+    assert list(phi_fz(pi).w) == _old_cyclic_classes(pi), pi
+    assert list(phi_yzl(pi).w) == _old_phi_yzl_steps(pi), pi
+
+
+def test_classes_match_branch_chain_oracles_on_small_perms():
+    _check_classes(Permutation(()))
+    for pi in _small_perms():
+        _check_classes(pi)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(Permutation))
+def test_classes_match_branch_chain_oracles_on_large_perms(pi):
+    _check_classes(pi)
 
 
 # ---------------------------------------------------------------------------

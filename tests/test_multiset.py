@@ -91,6 +91,12 @@ def test_from_json_rejects_non_integers(data, bad):
         IntMultiset.from_json(data)
 
 
+@pytest.mark.parametrize("data", [[5], 5, None])
+def test_from_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError, match="multiset JSON must be a list of pairs, got"):
+        IntMultiset.from_json(data)
+
+
 @pytest.mark.parametrize("text, token", [("{1_0}", "1_0"), ("{١}", "١"), ("{2^+3}", "+3")])
 def test_from_text_reads_ascii_digits_only(text, token):
     message = f"invalid literal for int() with base 10: {token!r}"

@@ -85,6 +85,12 @@ def test_bool_entries_rejected(build):
         build([True])
 
 
+@pytest.mark.parametrize("data", [5, None])
+def test_from_json_rejects_a_non_list(data):
+    with pytest.raises(ValueError, match="permutation JSON must be a list, got"):
+        Permutation.from_json(data)
+
+
 @pytest.mark.parametrize("text", ["²", "١,2", "٢١", "+1,2", "2,1_0,1,3,4,5,6,7,8,9", "1,,2"])
 def test_from_text_reads_ascii_digits_only(text):
     with pytest.raises(ValueError, match="cannot parse permutation"):

@@ -213,13 +213,13 @@ ALLOWED = {
     "involution.xi",
     "mfs_action.mfs_full",
     "mfs_action.pattern_multisets_zero_boundary",
-    "mfs_action.starred_classes",
     "multiset.IntMultiset.__or__",
     "multiset.IntMultiset.__sub__",
     "multiset._distinct",
     "multiset._with_counts",
     "multiset.kappa",
     "perm_stats.Permutation.inverse",
+    "perm_stats._by_step",
     "perm_stats._range_union",
     "perm_stats.avoiders",
     "perm_stats.cyclic_family",
