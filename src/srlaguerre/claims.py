@@ -311,9 +311,8 @@ def _test_valley_hopping(n: int, pi: Permutation) -> str | None:
     sigma = mfs_full(pi)
     if mfs_full(sigma) != pi:
         return f"{pi.to_text()}: double application differs"
-    lp = linear_family(pi)
-    ls = linear_family(sigma)
-    if len(ls.Des) != n - 1 - len(lp.Des):
+    des = statistic("des")
+    if des(sigma) != n - 1 - des(pi):
         return f"{pi.to_text()}: descent counts not complementary"
     # 2-13 and 31-2 read under the zero boundary equal the plain multisets.
     mp = pattern_multisets_zero_boundary(pi)

@@ -39,7 +39,7 @@ from .histories import (
 )
 from .involution import xi
 from .mfs_action import mfs_full
-from .multiset import IntMultiset
+from .multiset import IntMultiset, _int_token
 from .perm_stats import (
     NotAPermutation,
     Permutation,
@@ -82,10 +82,18 @@ def _max_n() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        return _int_token(raw)
     except ValueError:
         raise _Exit(EXIT_BAD_ARGS,
                     f"LAGUERRE_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _int_option(text: str) -> int:
+    """An integer option, in ASCII digits as text input is."""
+    try:
+        return _int_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_size(name: str, value: int) -> None:
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
 
     p = sub.add_parser("enumerate", help="list all objects of a given size")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--kind", choices=("perms", "histories"), default="perms")
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution",
                        help="joint distribution polynomial over S_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--stats", default="",
                    help="comma-separated statistic names")
     p.add_argument("--filter", default=None,
@@ -345,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a registered claim exhaustively")
     p.add_argument("--claim", required=True,
                    help="a claim id or 'all'")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_int_option, default=6)
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("moments",
                        help="continued-fraction moment sequence")
-    p.add_argument("--alpha", type=int, default=0)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--alpha", type=_int_option, default=0)
+    p.add_argument("--count", type=_int_option, required=True)
     add_format(p)
     p.set_defaults(fn=cmd_moments)
 

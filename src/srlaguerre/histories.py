@@ -44,9 +44,6 @@ _RISE = (1, 0, 0, -1)  # indexed by step: N, E, dE, S
 _LETTER = {StepType.N: "N", StepType.E: "E", StepType.DE: "D", StepType.S: "S"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
 _BY_VALUE = {s.value: s for s in StepType}
-# Members bound once: reading them off the class costs an attribute lookup
-# on every step of the per-step loops.
-_N, _E, _DE = StepType.N, StepType.E, StepType.DE
 
 NE_STEPS = frozenset((StepType.N, StepType.E))
 NDE_STEPS = frozenset((StepType.N, StepType.DE))
@@ -242,10 +239,12 @@ class HistoryStatRecord:
 def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
     """The statistics of ``history``, filled in one pass over its steps.
 
-    Each index lands in the entry dicts of its class and side of cs, and
-    of Nde, Asc, Ht and Wt, and each dict becomes a multiset once.  The
-    entries are distinct indices in [n], each with multiplicity 1 or a
-    nonzero height or weight, so no multiset is validated again.
+    Each index other than cs lands in its side's NE or SdE dict by the
+    class of its step, and an N or dE index also in its side's NdE dict.
+    The indices fill the Nde, Asc, Ht and Wt dicts in the same pass, and
+    each dict becomes a multiset once.  The entries are distinct indices
+    in [n], each with multiplicity 1 or a nonzero height or weight, so no
+    multiset is validated again.
     """
     w, h, c = history.w, history.h, history.c
     cs = critical_step(history)
@@ -254,31 +253,22 @@ def history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
     # is below c_{i+1}.  It starts at c_1, so no index 0 ascends.
     low = c[0] if c else 0
     for i, (step, height, weight) in enumerate(zip(w, h, c), start=1):
+        ne = step in NE_STEPS
         if i < cs:
-            if step is _N:
-                neb[i] = ndeb[i] = nde[i] = 1
-            elif step is _E:
-                neb[i] = 1
-            elif step is _DE:
-                sdeb[i] = ndeb[i] = nde[i] = 1
-            else:
-                sdeb[i] = 1
+            (neb if ne else sdeb)[i] = 1
         elif i > cs:
-            if step is _N:
-                nea[i] = ndea[i] = nde[i] = 1
-            elif step is _E:
-                nea[i] = 1
-            elif step is _DE:
-                sdea[i] = ndea[i] = nde[i] = 1
-            else:
-                sdea[i] = 1
-        elif step is _N:
+            (nea if ne else sdea)[i] = 1
+        if step in NDE_STEPS:
             # cs is an N or E step.  Step n ends the path at height 0, so
             # it is E or S: Nde is N ∪ dE over all of [n].
             nde[i] = 1
+            if i < cs:
+                ndeb[i] = 1
+            elif i > cs:
+                ndea[i] = 1
         if low < weight:
             asc[i - 1] = 1
-        low = weight - (step > _E)
+        low = weight if ne else weight - 1
         if height:
             ht[i] = height
         if weight:
@@ -293,13 +283,14 @@ def _words(n: int) -> Iterator[tuple[tuple[StepType, ...], tuple[int, ...]]]:
     lexicographic order under N < E < dE < S."""
     word: list[StepType] = []
     heights: list[int] = []
+    steps = tuple(StepType)  # iterating the enum class costs a generator per node
 
     def rec(i: int, height: int) -> Iterator[tuple[tuple[StepType, ...], tuple[int, ...]]]:
         if i == n:
             yield tuple(word), tuple(heights)
             return
         remaining = n - i - 1
-        for step in (StepType.N, StepType.E, StepType.DE, StepType.S):
+        for step in steps:
             nh = height + step.rise
             if nh < 0 or nh > remaining:
                 continue
@@ -320,11 +311,6 @@ def enumerate_histories(n: int) -> Iterator[LaguerreHistory]:
         raise ValueError("length must be nonnegative")
     make = LaguerreHistory._unchecked
     for w, h in _words(n):
-        ranges = []
-        for step, height in zip(w, h):
-            if step in NE_STEPS:
-                ranges.append(range(height + 1))
-            else:
-                ranges.append(range(1, height + 1))
+        ranges = [range(0 if step in NE_STEPS else 1, height + 1) for step, height in zip(w, h)]
         for c in product(*ranges):
             yield make(w, h, c)

@@ -11,9 +11,11 @@ V = (v, g, b) = xi(W) is determined by four conditions:
      g_j = h_{n+1-j}      otherwise;
   4. b_j = g_j - h_{n+1-j} + c_{n+1-j}.
 
-The exact step tags follow from the height differences g_{j+1} - g_j
-(with g_{n+1} = 0): +1 gives N, -1 gives S, 0 gives E or dE according to
-the class from condition 2.
+``xi`` reads W once, left to right: step i of W fixes step n+1-i of V,
+so V is written right to left, starting from g_{n+1} = 0.  Step j of V is
+the step whose rise is g_{j+1} - g_j and whose class is the one from
+condition 2 (+1 gives N, -1 gives S, 0 gives E or dE), read off the table
+``_STEP_OF``; any other pair is an inconsistency.
 
 ``XI_TABLE`` records the fourteen local configurations that can occur at
 a position j of the image, together with the constraints each must
@@ -44,53 +46,44 @@ class InternalInconsistency(RuntimeError):
     """The xi construction produced data violating its own constraints."""
 
 
+# The image step with a given rise and NE-class flag.
+_STEP_OF = {(s.rise, s in NE_STEPS): s for s in StepType}
+
+
 def xi(history: LaguerreHistory) -> LaguerreHistory:
-    """Apply the involution."""
+    """Apply the involution in one reflected pass: step i of W fixes step
+    n+1-i of the image, whose step is read off ``_STEP_OF``."""
     w, h, c = history.w, history.h, history.c
     n = len(w)
     if n == 0:
         return history
-    m = critical_step(history)
-    crit = n + 1 - m
+    crit = n + 1 - critical_step(history)
 
-    ne = [False] * (n + 1)  # 1-based: is step j of V in the NE class
-    g = [0] * (n + 2)  # g[n+1] stays 0 by convention
-    b = [0] * (n + 1)
-    for j in range(1, n + 1):
-        src = w[n - j]  # step n+1-j of W
-        ne[j] = True if j == crit else src not in NE_STEPS
-        hj = h[n - j]
-        if j > crit and not ne[j]:
-            g[j] = hj + 1
-        elif j < crit and ne[j]:
-            g[j] = hj - 1
-        else:
-            g[j] = hj
-        b[j] = g[j] - hj + c[n - j]
-
+    # Filled right to left; after is g_{j+1}.
+    v, g, b = [None] * n, [0] * n, [0] * n
+    after = 0
     # In place of the constructor's checks: step j rises by g_{j+1} - g_j,
     # so g_1 = g_{n+1} = 0 makes g the heights of a closed path, and
     # 0 <= lo <= b_j <= g_j keeps them nonnegative.
-    if g[1] != 0:
-        raise InternalInconsistency(f"image starts at height {g[1]}, not 0")
-    v = []
-    for j in range(1, n + 1):
-        d = g[j + 1] - g[j]
-        if d == 1 and ne[j]:
-            v.append(StepType.N)
-        elif d == -1 and not ne[j]:
-            v.append(StepType.S)
-        elif d == 0:
-            v.append(StepType.E if ne[j] else StepType.DE)
-        else:
+    for j, src, hj, cj in zip(range(n, 0, -1), w, h, c):
+        # Conditions 2 and 3.
+        ne = j == crit or src not in NE_STEPS
+        gj = hj + (j > crit and not ne) - (j < crit and ne)
+        step = _STEP_OF.get((after - gj, ne))
+        if step is None:
             raise InternalInconsistency(
-                f"height difference {d} incompatible with step class at j={j}"
+                f"height difference {after - gj} incompatible with step class at j={j}"
             )
-        lo = 0 if ne[j] else 1
-        if not lo <= b[j] <= g[j]:
-            raise InternalInconsistency(f"weight b_{j} = {b[j]} outside [{lo}, {g[j]}]")
+        bj = gj - hj + cj
+        lo = 0 if ne else 1
+        if not lo <= bj <= gj:
+            raise InternalInconsistency(f"weight b_{j} = {bj} outside [{lo}, {gj}]")
+        v[j - 1], g[j - 1], b[j - 1] = step, gj, bj
+        after = gj
+    if after != 0:
+        raise InternalInconsistency(f"image starts at height {after}, not 0")
 
-    image = LaguerreHistory._unchecked(tuple(v), tuple(g[1 : n + 1]), tuple(b[1:]))
+    image = LaguerreHistory._unchecked(tuple(v), tuple(g), tuple(b))
     if critical_step(image) != crit:
         raise InternalInconsistency("image critical step is not n+1-m")
     return image

@@ -1,6 +1,7 @@
 """Tests for the claim runner: pinned counterexample strings, threads, and
 mutations of the encoders, the letter-class rule, the shared sweeps, the
-encoding-claim table and its formulas that the claims must catch."""
+encoding-claim table, its formulas, its conjugation pairs and the csz rows
+that the claims must catch."""
 from __future__ import annotations
 
 import ast
@@ -558,6 +559,40 @@ def test_every_keys_swap_fails_a_comparison_by_n4(monkeypatch, column, mutants):
         count += 1
     assert not survivors, f"_KEYS swaps no claim notices: {survivors}"
     assert count == mutants
+
+
+# Every swap of the right-hand keys of two ``claims._KAPPA_PAIRS`` rows (21
+# mutants), each rebuilt into the three claims that read the table as
+# CLAIM_REGISTRY builds them, and every swap of the right-hand readers of
+# two ``claims._CSZ_ROWS`` rows (28 mutants).  A survivor is a gap in the
+# claims, not a reason to loosen these tests.
+def _kappa_claims(pairs) -> list:
+    return [claims._conjugate("phi", claims._LINEAR, pairs=pairs),
+            claims._conjugate("eta", claims._CYCLIC, claims._ETA_HEAD, pairs[4:]),
+            claims._conjugate("rho", claims._SHIFTED, pairs=pairs)]
+
+
+def _right_hand_swaps(rows):
+    for a, b in combinations(range(len(rows)), 2):
+        mutant = list(rows)
+        mutant[a], mutant[b] = (*rows[a][:-1], rows[b][-1]), (*rows[b][:-1], rows[a][-1])
+        yield mutant
+
+
+def test_every_kappa_pairs_swap_fails_a_comparison_by_n4():
+    assert _first_comparison_failure(_kappa_claims(claims._KAPPA_PAIRS)) is None
+    first_failures = Counter(_first_comparison_failure(_kappa_claims(tuple(mutant)))
+                             for mutant in _right_hand_swaps(claims._KAPPA_PAIRS))
+    assert first_failures == {2: 11, 3: 8, 4: 2}
+
+
+def test_every_csz_rows_swap_fails_a_comparison_by_n3(monkeypatch):
+    assert _first_comparison_failure([claims._test_csz_transport]) is None
+    first_failures = Counter()
+    for mutant in _right_hand_swaps(claims._CSZ_ROWS):
+        monkeypatch.setattr(claims, "_CSZ_ROWS", mutant)
+        first_failures[_first_comparison_failure([claims._test_csz_transport])] += 1
+    assert first_failures == {2: 23, 3: 5}
 
 
 # ``claims._FORMULAS`` mutated in its source: each single ``|``/``-`` swap,

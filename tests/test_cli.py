@@ -246,12 +246,38 @@ def test_distribution_filter_not_a_permutation(capsys):
 
 
 def test_max_n_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("LAGUERRE_MAX_N", "abc")
-    code = main(["enumerate", "--n", "3", "--kind", "perms"])
+    # ASCII digits only: int() alone would read the cap '1_1' as 11.
+    for raw in ("abc", "٣", "1_1", "+3", "３"):
+        monkeypatch.setenv("LAGUERRE_MAX_N", raw)
+        code = main(["enumerate", "--n", "3", "--kind", "perms"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == (
+            "", f"error: LAGUERRE_MAX_N must be an integer, got {raw!r}\n")
+
+
+# Integer options are ASCII digits with an optional minus sign only, as
+# text input is.  Every size here is at most 3: an option read wrongly
+# must not start a large sweep.
+BAD_INTEGER_OPTIONS = [
+    (["enumerate", "--n", "٢"], "٢"),
+    (["enumerate", "--n", "+2", "--kind", "histories"], "+2"),
+    (["distribution", "--n", "0_3", "--stats", "des"], "0_3"),
+    (["verify", "--claim", "cor3.3", "--n-max", "３"], "３"),
+    (["moments", "--count", "+3"], "+3"),
+    (["moments", "--alpha", "٠", "--count", "3"], "٠"),
+]
+
+
+@pytest.mark.parametrize("argv, token", BAD_INTEGER_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INTEGER_OPTIONS])
+def test_integer_options_take_ascii_digits_only(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert (captured.out, captured.err) == (
-        "", "error: LAGUERRE_MAX_N must be an integer, got 'abc'\n")
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid literal for int() with base 10: {token!r}" in captured.err
 
 
 # Every error exit of the CLI, with the one line it prints on stderr.

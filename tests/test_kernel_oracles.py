@@ -8,7 +8,9 @@ multisets were built from (value, count) pairs, the column placement found
 its slot in a list of open slots, the shifted-cyclic decoder went through
 the cyclic one and the Kreweras complement, the linear decoder
 and valley hopping became a pass over a binary tree, ``history_statistics``
-became one pass that fills its ten entry dicts, the XI_TABLE row of a
+became one pass that fills its ten entry dicts, xi became one reflected
+pass that reads each image step off a (rise, class) table instead of two
+passes over padded 1-based arrays and a branch chain, the XI_TABLE row of a
 position was found by a branch chain instead of the table's own key
 columns, and the linear, cyclic and shifted letter classes, three branch
 chains with phi_yzl's patch at the position of 1 and at step n on top,
@@ -18,8 +20,9 @@ kernels must agree with them on all of S_n for n <= 7 and on seeded random
 permutations of size 50, 300 and 1000, the tree kernels and the
 left-rank readers (nesting numbers included) also on monotone words of
 size 3000, the left-rank readers on random words of size 3000, and the
-decoders, the history statistics and the row lookup on every history with
-n <= 7 and on random histories of size up to 200.  The letter classes
+decoders, the history statistics, xi and the row lookup on every history
+with n <= 7 and on random histories of size up to 200, and xi must also
+reject exactly the small malformed histories that ``_old_xi`` rejects.  The letter classes
 and the three encoders' step words are checked on all of S_n for n <= 7
 and on Hypothesis permutations of size up to 300.  ``_old_phi_fv_inv``
 rescans the word for empty slots at every letter, and
@@ -37,6 +40,7 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from functools import partial
+from itertools import product
 from typing import Sequence
 
 import pytest
@@ -64,7 +68,7 @@ from srlaguerre.histories import (
     enumerate_histories,
     history_statistics,
 )
-from srlaguerre.involution import _table_rows, xi
+from srlaguerre.involution import InternalInconsistency, _table_rows, xi
 from srlaguerre.mfs_action import (
     coordinate_counts_zero_boundary,
     mfs_full,
@@ -779,7 +783,7 @@ def test_fv_decoder_fails_like_oracle_on_malformed_histories():
 
 
 # ---------------------------------------------------------------------------
-# History layer: the split at the critical step and the XI_TABLE row lookup
+# History layer: the split at the critical step, xi and the XI_TABLE row lookup
 # ---------------------------------------------------------------------------
 
 def _old_history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
@@ -834,6 +838,58 @@ def _old_history_statistics(history: LaguerreHistory) -> HistoryStatRecord:
     )
 
 
+def _old_xi(history: LaguerreHistory) -> LaguerreHistory:
+    """Apply the involution."""
+    w, h, c = history.w, history.h, history.c
+    n = len(w)
+    if n == 0:
+        return history
+    m = critical_step(history)
+    crit = n + 1 - m
+
+    ne = [False] * (n + 1)  # 1-based: is step j of V in the NE class
+    g = [0] * (n + 2)  # g[n+1] stays 0 by convention
+    b = [0] * (n + 1)
+    for j in range(1, n + 1):
+        src = w[n - j]  # step n+1-j of W
+        ne[j] = True if j == crit else src not in NE_STEPS
+        hj = h[n - j]
+        if j > crit and not ne[j]:
+            g[j] = hj + 1
+        elif j < crit and ne[j]:
+            g[j] = hj - 1
+        else:
+            g[j] = hj
+        b[j] = g[j] - hj + c[n - j]
+
+    # In place of the constructor's checks: step j rises by g_{j+1} - g_j,
+    # so g_1 = g_{n+1} = 0 makes g the heights of a closed path, and
+    # 0 <= lo <= b_j <= g_j keeps them nonnegative.
+    if g[1] != 0:
+        raise InternalInconsistency(f"image starts at height {g[1]}, not 0")
+    v = []
+    for j in range(1, n + 1):
+        d = g[j + 1] - g[j]
+        if d == 1 and ne[j]:
+            v.append(StepType.N)
+        elif d == -1 and not ne[j]:
+            v.append(StepType.S)
+        elif d == 0:
+            v.append(StepType.E if ne[j] else StepType.DE)
+        else:
+            raise InternalInconsistency(
+                f"height difference {d} incompatible with step class at j={j}"
+            )
+        lo = 0 if ne[j] else 1
+        if not lo <= b[j] <= g[j]:
+            raise InternalInconsistency(f"weight b_{j} = {b[j]} outside [{lo}, {g[j]}]")
+
+    image = LaguerreHistory._unchecked(tuple(v), tuple(g[1 : n + 1]), tuple(b[1:]))
+    if critical_step(image) != crit:
+        raise InternalInconsistency("image critical step is not n+1-m")
+    return image
+
+
 def _old_table_row_index(n: int, m: int, j: int, vj_ne: bool, vj1_ne: bool | None) -> int:
     """The 1-based XI_TABLE row governing position j of the image."""
     crit = n + 1 - m
@@ -857,6 +913,8 @@ def _check_history_layer(w_hist: LaguerreHistory) -> None:
     n = w_hist.n
     m = critical_step(w_hist)
     v_hist = xi(w_hist)
+    old = _old_xi(w_hist)
+    assert (v_hist.w, v_hist.h, v_hist.c) == (old.w, old.h, old.c), w_hist.to_text()
     v = v_hist.w
     picked = [(j, row.row) for j, row in _table_rows(w_hist, v_hist)]
     expected = [
@@ -876,6 +934,31 @@ def test_history_layer_matches_oracles_on_small_histories():
 @given(large_histories())
 def test_history_layer_matches_oracles_on_large_histories(w_hist):
     _check_history_layer(w_hist)
+
+
+def _outcome(xi_map, history: LaguerreHistory):
+    try:
+        image = xi_map(history)
+    except (InternalInconsistency, ValueError) as exc:
+        return type(exc)
+    return image.w, image.h, image.c
+
+
+def test_xi_rejects_what_the_oracle_rejects():
+    # Every step word of length <= 2 with heights and weights in -1..2,
+    # stored as given: the one pass makes the two-pass oracle's checks in
+    # another order, so it must fail and succeed on the same inputs.
+    outcomes = Counter()
+    for n in range(1, 3):
+        values = list(product(range(-1, 3), repeat=n))
+        for w in product(StepType, repeat=n):
+            for h in values:
+                for c in values:
+                    history = LaguerreHistory._unchecked(w, h, c)
+                    outcome = _outcome(xi, history)
+                    assert outcome == _outcome(_old_xi, history), history.to_text()
+                    outcomes[outcome if isinstance(outcome, type) else "image"] += 1
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -325,11 +325,15 @@ def test_vincular_anchor():
 
 
 def test_vincular_against_brute_force():
-    # All twelve one-glue literals, and a second spelling of one of them.
+    # All twelve one-glue literals, and a second spelling of one of them,
+    # then literals that only the generic counter reads: classical, fully
+    # glued, two glued runs, and length 4.
     literals = ["2u31", "2u13", "u31_2", "1u32", "u32_1", "u13_2",
                 "3u12", "u12_3", "u12", "u21", "u21_3", "3u21", "u23_1",
-                "1u23", "2_u31", "12", "21"]
-    for pi in iter_perms(5):
+                "1u23", "2_u31", "12", "21",
+                "123", "1_3_2", "u123", "u321", "1u32_4", "u31_42", "u1234",
+                "2_4_1_3", "u12u34"]
+    for pi in (pi for n in range(1, 7) for pi in iter_perms(n)):
         for literal in literals:
             pat = parse_vincular(literal)
             glued = {p - 1 for p in pat.glued}

@@ -187,6 +187,8 @@ def test_the_checked_build_counts_what_the_unchecked_one_collapses():
 @pytest.mark.parametrize("w, h, c", [
     ((StepType.N, StepType.S), (0, 1), (0, 2)),  # c_2 above its height
     ((StepType.E, StepType.E), (0, 1), (0, 0)),  # stored heights not the path's
+    ((StepType.N,), (1,), (0,)),  # an NE-class image step that falls
+    ((StepType.DE, StepType.N), (0, 0), (0, 0)),  # the image's critical step moves
 ])
 def test_xi_rejects_what_it_cannot_build(w, h, c):
     # A history that skipped validation must not come back from xi as an
