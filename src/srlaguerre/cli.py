@@ -4,6 +4,10 @@ Subcommands: enumerate, map, stat, distribution, verify, moments.  Exit
 codes: 0 success, 1 failed verification claim, 2 bad arguments, 3 parse
 failure, 4 invariant violation of the input object, 5 unknown statistic or
 claim name.
+
+Every result goes to stdout through one emitter, ``_emit``: the JSON form,
+CSV rows through Python's ``csv`` writer, or the text form.  The objects
+that ``enumerate`` and ``map`` print take their line from ``_object_text``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .bijections import (
     conjugated_map,
@@ -115,19 +119,27 @@ def _parse(parse: Callable[[str], _T], text: str) -> _T:
         raise _Exit(EXIT_PARSE, str(exc)) from None
 
 
-def _perm_text(pi: Permutation, fmt: str) -> str:
+def _emit(fmt: str, text: str, data, rows: Iterable[Sequence]) -> None:
+    """Print one result: ``data`` as JSON, ``rows`` as CSV, else ``text``."""
     if fmt == "json":
-        return json.dumps(pi.to_json())
-    return pi.to_text()
+        print(json.dumps(data))
+    elif fmt == "csv":
+        # Built per call: the writer must follow a replaced sys.stdout.
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        print(text)
 
 
-def _history_text(h: LaguerreHistory, fmt: str) -> str:
+def _object_text(obj: Permutation | LaguerreHistory, fmt: str) -> str:
+    """One line per object: its JSON or text form.  A history's CSV row is
+    its step word and its space-separated weights."""
     if fmt == "json":
-        return json.dumps(h.to_json())
-    if fmt == "csv":
-        word, weights = h.to_text().split("/")
+        return json.dumps(obj.to_json())
+    text = obj.to_text()
+    if fmt == "csv" and isinstance(obj, LaguerreHistory):
+        word, weights = text.split("/")
         return f"{word},{weights.replace(',', ' ')}"
-    return h.to_text()
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +149,10 @@ def _history_text(h: LaguerreHistory, fmt: str) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_size("n", args.n)
     count = 0
-    if args.kind == "perms":
-        for pi in iter_perms(args.n):
-            print(_perm_text(pi, args.format))
-            count += 1
-    else:
-        for h in enumerate_histories(args.n):
-            print(_history_text(h, args.format))
-            count += 1
-    if args.format == "json":
-        print(json.dumps({"count": count}))
-    elif args.format == "csv":
-        print(f"count,{count}")
-    else:
-        print(f"count: {count}")
+    for obj in (iter_perms if args.kind == "perms" else enumerate_histories)(args.n):
+        print(_object_text(obj, args.format))
+        count += 1
+    _emit(args.format, f"count: {count}", {"count": count}, [("count", count)])
     return EXIT_OK
 
 
@@ -185,10 +187,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         image = _PERM_MAPS[via](_parse(Permutation.from_text, args.input))
     else:
         image = _HISTORY_MAPS[via](_parse(LaguerreHistory.from_text, args.input))
-    if isinstance(image, Permutation):
-        print(_perm_text(image, args.format))
-    else:
-        print(_history_text(image, args.format))
+    print(_object_text(image, args.format))
     return EXIT_OK
 
 
@@ -204,18 +203,6 @@ def _record_fields(record, multiset: Callable, sequence: Callable):
         yield field.name, value
 
 
-def _record_json(record) -> dict:
-    return dict(_record_fields(record, IntMultiset.to_json, list))
-
-
-def _record_csv_rows(family: str, record):
-    """One (family, field, value) row per field: multisets in their text
-    form, tuples comma-joined."""
-    for name, value in _record_fields(record, IntMultiset.to_text,
-                                      lambda t: ",".join(map(str, t))):
-        yield family, name, value
-
-
 def cmd_stat(args: argparse.Namespace) -> int:
     pi = _parse(Permutation.from_text, args.perm)
     if args.stat == "all":
@@ -224,21 +211,18 @@ def cmd_stat(args: argparse.Namespace) -> int:
             "cyclic": cyclic_family(pi),
             "shifted": shifted_family(pi),
         }
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            for family, record in records.items():
-                writer.writerows(_record_csv_rows(family, record))
-        else:
-            print(json.dumps({family: _record_json(record)
-                              for family, record in records.items()}))
+        # The text form is the JSON form.  A CSV row is (family, field,
+        # value), multisets in their text form and tuples comma-joined.
+        data = {family: dict(_record_fields(record, IntMultiset.to_json, list))
+                for family, record in records.items()}
+        rows = ((family, name, value) for family, record in records.items()
+                for name, value in _record_fields(
+                    record, IntMultiset.to_text, lambda t: ",".join(map(str, t))))
+        _emit(args.format, json.dumps(data), data, rows)
         return EXIT_OK
     value = statistic(args.stat)(pi)
-    if args.format == "json":
-        print(json.dumps({"stat": args.stat, "value": value}))
-    elif args.format == "csv":
-        print(f"{args.stat},{value}")
-    else:
-        print(value)
+    _emit(args.format, str(value), {"stat": args.stat, "value": value},
+          [(args.stat, value)])
     return EXIT_OK
 
 
@@ -247,14 +231,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     stats = [s for s in args.stats.split(",") if s] if args.stats else []
     pattern = _parse(Permutation.from_text, args.filter).word if args.filter else None
     poly = joint_distribution(args.n, stats, pattern)
-    if args.format == "json":
-        print(json.dumps(poly.to_json()))
-    elif args.format == "csv":
-        for term in poly.to_json():
-            exps = " ".join(f"{k}={v}" for k, v in term["exps"].items())
-            print(f"{term['coeff']},{exps}")
-    else:
-        print(poly.to_text())
+    terms = poly.to_json()
+    rows = ((term["coeff"], " ".join(f"{k}={v}" for k, v in term["exps"].items()))
+            for term in terms)
+    _emit(args.format, poly.to_text(), terms, rows)
     return EXIT_OK
 
 
@@ -262,24 +242,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ids = claim_ids() if args.claim == "all" else (args.claim,)
     _check_size("n-max", args.n_max)
     failed = False
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     for claim_id in ids:
         for n in range(1, args.n_max + 1):
             outcome = run_claim(claim_id, n)
-            if args.format == "json":
-                print(json.dumps(outcome.to_json()))
-            elif args.format == "csv":
-                writer.writerow((outcome.claim, outcome.n, outcome.status,
-                                 outcome.checked, outcome.millis,
-                                 outcome.counterexample or ""))
-            else:
-                line = (
-                    f"{outcome.claim} n={outcome.n}: {outcome.status}"
-                    f" (checked {outcome.checked}, {outcome.millis} ms)"
-                )
-                if outcome.counterexample:
-                    line += f" counterexample: {outcome.counterexample}"
-                print(line)
+            text = (f"{outcome.claim} n={outcome.n}: {outcome.status}"
+                    f" (checked {outcome.checked}, {outcome.millis} ms)")
+            if outcome.counterexample:
+                text += f" counterexample: {outcome.counterexample}"
+            row = (outcome.claim, outcome.n, outcome.status, outcome.checked,
+                   outcome.millis, outcome.counterexample or "")
+            _emit(args.format, text, outcome.to_json(), [row])
             if outcome.status != "pass":
                 failed = True
     return EXIT_CLAIM_FAILED if failed else EXIT_OK
@@ -293,13 +265,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise _Exit(EXIT_BAD_ARGS,
                     f"count + alpha must be at most {MAX_MOMENTS_SIZE}")
     values = laguerre_moments(args.alpha, args.count)
-    if args.format == "json":
-        print(json.dumps(values))
-    elif args.format == "csv":
-        print(",".join(str(v) for v in values))
-    else:
-        for k, v in enumerate(values):
-            print(f"mu_{k} = {v}")
+    text = "\n".join(f"mu_{k} = {v}" for k, v in enumerate(values))
+    _emit(args.format, text, values, [values])
     return EXIT_OK
 
 

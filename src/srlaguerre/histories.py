@@ -205,9 +205,13 @@ def critical_step(history: LaguerreHistory) -> int:
     """The largest index i with c_i = 0, and 0 for the empty history.
 
     A nonempty history has c_1 = 0, as h_1 = 0 forces step 1 into the NE
-    class.  The critical step itself is always an N or E step.
+    class.  The critical step itself is always an N or E step.  Raises
+    ValueError on a nonempty history with no zero weight, which only
+    ``LaguerreHistory._unchecked`` can build.
     """
     c = history.c
+    if c and 0 not in c:
+        raise ValueError(f"no weight of {history.to_text()} is 0")
     return len(c) - c[::-1].index(0) if c else 0
 
 

@@ -26,6 +26,7 @@ from srlaguerre.genfun import (
     PQ_EULERIAN_SUBST,
     a_polynomial,
     jacobi_moments,
+    joint_distribution,
     qt_catalan,
     specialize,
 )
@@ -175,9 +176,12 @@ def test_criterion_12_specializations():
     ok = eulerian.to_text() == "1 + 4 t + t^2"
     catalan = [1, 2, 5, 14, 42, 132, 429]
     for n in range(1, 8):
-        # qt_catalan itself raises if its two computation paths disagree.
+        # The transfer-matrix limit against the direct count over
+        # 213-avoiders of (des, 31-2).
         poly = qt_catalan(n)
-        if poly.evaluate({v: 1 for v in poly.variables}) != catalan[n - 1]:
+        direct = specialize(joint_distribution(n, ["des", "u31_2"], (2, 1, 3)),
+                            {"q1": {"t": 1}, "q2": {"q": 1}})
+        if poly != direct or poly.evaluate({v: 1 for v in poly.variables}) != catalan[n - 1]:
             ok = False
     _report(12, ok, "Eulerian A_3 and q,t-Catalan, n<=7", start)
 

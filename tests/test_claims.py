@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from srlaguerre import bijections, claims, genfun, histories, perm_stats
+from srlaguerre import bijections, claims, genfun, histories, mfs_action, perm_stats
 from srlaguerre.bijections import (
     phi_fv,
     phi_fv_inv,
@@ -593,6 +593,46 @@ def test_every_csz_rows_swap_fails_a_comparison_by_n3(monkeypatch):
         monkeypatch.setattr(claims, "_CSZ_ROWS", mutant)
         first_failures[_first_comparison_failure([claims._test_csz_transport])] += 1
     assert first_failures == {2: 23, 3: 5}
+
+
+def _first_claim_failure(claim: str, n_max: int = 3) -> int | None:
+    """The least n <= n_max at which ``claim`` fails, or None."""
+    return next((n for n in range(1, n_max + 1)
+                 if run_claim(claim, n).status == "fail"), None)
+
+
+# Every swap of two ``claims._EQ34_RHS`` entries (28 mutants) must fail
+# eq34, and every ``mfs_action._BRACKETS`` mutant (each row's two classes
+# swapped, each row's side flipped, each two rows swapped: 9 mutants) must
+# fail fact4.8.  A survivor is a gap in the claims, not a reason to loosen
+# these tests.
+def test_every_eq34_rhs_swap_fails_eq34_by_n3(monkeypatch):
+    assert _first_claim_failure("eq34") is None
+    rows = claims._EQ34_RHS
+    first_failures = Counter()
+    for a, b in combinations(range(len(rows)), 2):
+        mutant = list(rows)
+        mutant[a], mutant[b] = rows[b], rows[a]
+        monkeypatch.setattr(claims, "_EQ34_RHS", tuple(mutant))
+        first_failures[_first_claim_failure("eq34")] += 1
+    assert first_failures == {2: 16, 3: 12}
+
+
+def _brackets_mutants(rows):
+    for key, (first, second, right) in rows.items():
+        yield {**rows, key: (second, first, right)}
+        yield {**rows, key: (first, second, not right)}
+    for a, b in combinations(rows, 2):
+        yield {**rows, a: rows[b], b: rows[a]}
+
+
+def test_every_brackets_mutant_fails_fact48_by_n3(monkeypatch):
+    assert _first_claim_failure("fact4.8") is None
+    first_failures = Counter()
+    for mutant in _brackets_mutants(mfs_action._BRACKETS):
+        monkeypatch.setattr(mfs_action, "_BRACKETS", mutant)
+        first_failures[_first_claim_failure("fact4.8")] += 1
+    assert first_failures == {2: 8, 3: 1}
 
 
 # ``claims._FORMULAS`` mutated in its source: each single ``|``/``-`` swap,

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -202,6 +203,55 @@ def test_moments_size_is_capped(capsys):
     code, out = run_cli(capsys, "moments", "--count", "1000", "--format", "csv")
     assert code == 0
     assert len(out.split(",")) == 1000
+
+
+# The exact stdout of each (subcommand, format) pair that no other test
+# pins.  ``millis`` varies from run to run, so verify's lines read it as M.
+PINNED_OUTPUTS = [
+    (["map", "--via", "fv", "3,1,2", "--format", "json"],
+     '{"w": ["N", "E", "S"], "h": [0, 1, 1], "c": [0, 0, 1]}\n'),
+    (["map", "--via", "fv", "3,1,2", "--format", "csv"], "NES,0 0 1\n"),
+    (["map", "--via", "fv-inv", "NES/0,1,1", "--format", "json"], "[2, 3, 1]\n"),
+    (["map", "--via", "fv-inv", "NES/0,1,1", "--format", "csv"], "2,3,1\n"),
+    (["enumerate", "--n", "3", "--kind", "histories", "--format", "csv"],
+     "NES,0 0 1\nNES,0 1 1\nNDS,0 1 1\nNSE,0 1 0\nENS,0 0 1\nEEE,0 0 0\n"
+     "count,6\n"),
+    (["enumerate", "--n", "3", "--kind", "histories", "--format", "json"],
+     '{"w": ["N", "E", "S"], "h": [0, 1, 1], "c": [0, 0, 1]}\n'
+     '{"w": ["N", "E", "S"], "h": [0, 1, 1], "c": [0, 1, 1]}\n'
+     '{"w": ["N", "D", "S"], "h": [0, 1, 1], "c": [0, 1, 1]}\n'
+     '{"w": ["N", "S", "E"], "h": [0, 1, 0], "c": [0, 1, 0]}\n'
+     '{"w": ["E", "N", "S"], "h": [0, 0, 1], "c": [0, 0, 1]}\n'
+     '{"w": ["E", "E", "E"], "h": [0, 0, 0], "c": [0, 0, 0]}\n'
+     '{"count": 6}\n'),
+    (["stat", "--perm", "9,4,7,6,1,2,8,5,3", "--stat", "den", "--format", "json"],
+     '{"stat": "den", "value": 23}\n'),
+    (["stat", "--perm", "9,4,7,6,1,2,8,5,3", "--stat", "den", "--format", "csv"],
+     "den,23\n"),
+    (["distribution", "--n", "3", "--stats", "des,inv", "--format", "json"],
+     '[{"coeff": 1, "exps": {}}, {"coeff": 2, "exps": {"q1": 1, "q2": 1}},'
+     ' {"coeff": 2, "exps": {"q1": 1, "q2": 2}},'
+     ' {"coeff": 1, "exps": {"q1": 2, "q2": 3}}]\n'),
+    (["distribution", "--n", "3", "--stats", "des,inv", "--format", "csv"],
+     "1,\n2,q1=1 q2=1\n2,q1=1 q2=2\n1,q1=2 q2=3\n"),
+    (["moments", "--count", "4"], "mu_0 = 1\nmu_1 = 1\nmu_2 = 2\nmu_3 = 6\n"),
+    (["moments", "--count", "4", "--format", "json"], "[1, 1, 2, 6]\n"),
+    (["verify", "--claim", "lem4.14", "--n-max", "3"],
+     "lem4.14 n=1: pass (checked 1, M ms)\n"
+     "lem4.14 n=2: pass (checked 2, M ms)\n"
+     "lem4.14 n=3: pass (checked 6, M ms)\n"),
+    (["verify", "--claim", "lem4.14", "--n-max", "3", "--format", "csv"],
+     "lem4.14,1,pass,1,M,\nlem4.14,2,pass,2,M,\nlem4.14,3,pass,6,M,\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_pinned_stdout(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    out = re.sub(r"\d+ ms\)$", "M ms)", out, flags=re.M)
+    out = re.sub(r"^(lem4\.14,\d+,pass,\d+,)\d+,$", r"\1M,", out, flags=re.M)
+    assert (code, out) == (0, expected)
 
 
 @pytest.mark.parametrize("via", ["fv-inv", "fz-inv", "yzl-inv", "xi"])

@@ -196,6 +196,13 @@ def test_critical_step_is_ne_class():
             assert all(w.weight(i) > 0 for i in range(cs + 1, n + 1))
 
 
+def test_critical_step_names_a_history_with_no_zero_weight():
+    # The constructor rejects NS/1,1; only the unchecked build makes it.
+    history = LaguerreHistory._unchecked((N, S), (0, 1), (1, 1))
+    with pytest.raises(ValueError, match=re.escape("no weight of NS/1,1 is 0")):
+        critical_step(history)
+
+
 def test_first_weight_is_zero():
     for w in enumerate_histories(5):
         assert w.weight(1) == 0
