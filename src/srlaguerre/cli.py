@@ -86,10 +86,13 @@ def _max_n() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return _int_token(raw)
+        limit = _int_token(raw)
     except ValueError:
         raise _Exit(EXIT_BAD_ARGS,
                     f"LAGUERRE_MAX_N must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise _Exit(EXIT_BAD_ARGS, f"LAGUERRE_MAX_N must be at least 1, got {raw!r}")
+    return limit
 
 
 def _int_option(text: str) -> int:

@@ -760,17 +760,24 @@ def _last(word: tuple[int, ...]) -> int:
 
 
 def _sorting_index(word: tuple[int, ...]) -> int:
-    """Sum of swap lengths when selection-sorting the largest letter home."""
+    """Sum of swap lengths when selection-sorting the largest letter home.
+
+    Petersen's sor (Adv. Appl. Math. 47 (2011)).  Once v is home neither
+    its cell nor its position is read again, so a swap writes only the
+    displaced letter's cell and position.
+    """
     w = list(word)
-    pos = {v: i for i, v in enumerate(w)}
+    pos = [0] * (len(w) + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
     total = 0
     for v in range(len(w), 0, -1):
         i = pos[v]
         if i != v - 1:
             other = w[v - 1]
-            w[i], w[v - 1] = other, v
-            pos[other], pos[v] = i, v - 1
-            total += (v - 1) - i
+            w[i] = other
+            pos[other] = i
+            total += v - 1 - i
     return total
 
 
@@ -779,11 +786,15 @@ def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
     """Every ingredient value of a word.
 
     The twelve one-glue counts, inv and |Vnest| are read off one left-rank
-    table, and the family sums off two letter lists: the descents as (top,
-    bottom) pairs and the excedances as (position, value) pairs.  |Vedif|
-    counts each excedance's range [i+1, v) and the n - pone letters after
-    the position of 1; |Vbot| counts, i times, each i in [n-1] whose
-    successor is no excedance value.
+    table.  The family sums come from two loops with no intermediate list:
+    one over the letters gives exc, ebot = Σ i and edif = Σ (v - i) over
+    the excedances v = pi(i) > i, and vbot; one over the adjacent pairs
+    gives u21 and the descent tops and bottoms, dbot = Σ bottom and
+    ddif = Σ (top - bottom).  |Vbot| counts, i times, each i in [n-1]
+    whose successor sits at a position > i; letter i+1 sits at a position
+    > i exactly when it is a non-excedance value, so vbot = Σ (v - 1) over
+    the non-excedance letters v.  |Vedif| counts each excedance's range
+    [i+1, v) and the n - pone letters after the position of 1.
 
     Everything runs on a miss, so a miss costs the same whichever
     statistic asked for it.  The cache serves callers that evaluate several
@@ -796,19 +807,28 @@ def _ingredients(word: tuple[int, ...]) -> dict[str, int]:
     g = _one_glue_counts(word, ranks)
     g["inv"] = n * (n - 1) // 2 - sum(ranks)
     g["vnest"] = sum(_variant_nesting(word, _nesting_numbers(word, ranks), pone))
-    drops = [(a, b) for a, b in zip(word, word[1:]) if a > b]
-    excs = [(i, v) for i, v in enumerate(word, start=1) if v > i]
-    dbot = sum(b for _, b in drops)
-    ebot = sum(i for i, _ in excs)
-    edif = sum(v for _, v in excs) - ebot
-    position = _invert(word)
+    exc = ebot = etop = vbot = 0
+    for i, v in enumerate(word, start=1):
+        if v > i:
+            exc += 1
+            ebot += i
+            etop += v
+        else:
+            vbot += v - 1
+    u21 = dtop = dbot = 0
+    for a, b in zip(word, word[1:]):
+        if a > b:
+            u21 += 1
+            dtop += a
+            dbot += b
+    edif = etop - ebot
     g.update(
         n=n, last=_last(word), pone=pone,
-        u21=len(drops), dbot=dbot, ddif=sum(a for a, _ in drops) - dbot,
-        exc=len(excs), ebot=ebot, edif=edif,
+        u21=u21, dbot=dbot, ddif=dtop - dbot,
+        exc=exc, ebot=ebot, edif=edif,
         ine=sum(_side_numbers(word)),
-        vbot=sum(i for i in range(1, n) if position[i] > i),
-        vedif=edif - len(excs) + n - pone,
+        vbot=vbot,
+        vedif=edif - exc + n - pone,
         sor=_sorting_index(word),
     )
     return g

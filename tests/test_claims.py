@@ -8,6 +8,7 @@ import ast
 import copy
 import inspect
 import sys
+import textwrap
 import threading
 import types
 from bisect import bisect_left, insort
@@ -373,6 +374,91 @@ def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
     _patch_everywhere(monkeypatch, getattr(perm_stats, name), mutant)
     got = {claim: _first_failure(claim)[1::2] for claim in expected}
     assert got == expected
+
+
+def _rewritten(name: str, edits) -> types.FunctionType:
+    """``perm_stats.<name>`` compiled from its source with, for each (old,
+    new) edit, the one statement or expression that unparses to ``old``
+    replaced by ``new``.  It runs in a copy of the module's namespace."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(perm_stats, name))))
+    for old, new in edits:
+        sites = [(parent, field, node) for parent in ast.walk(tree)
+                 for field, value in ast.iter_fields(parent)
+                 for node in (value if isinstance(value, list) else [value])
+                 if isinstance(node, ast.AST) and ast.unparse(node) == old]
+        assert len(sites) == 1, f"{name}: {len(sites)} sites read {old!r}"
+        parent, field, node = sites[0]
+        replacement = ast.parse(new).body[0]
+        if isinstance(node, ast.expr):
+            replacement = replacement.value
+        value = getattr(parent, field)
+        if isinstance(value, list):
+            value[value.index(node)] = replacement
+        else:
+            setattr(parent, field, replacement)
+    namespace = dict(vars(perm_stats))
+    exec(compile(ast.fix_missing_locations(tree), perm_stats.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+# Single-token mutants of the letter and pair loops of
+# ``perm_stats._ingredients`` and of ``perm_stats._sorting_index``, each an
+# AST rewrite of the function's source: (label, function, edits, the first
+# failure (n, counterexample) at n <= 5 of each claim that reads the
+# Mahonian ingredients).  Each must fail one of them by n = 4.  A survivor
+# is a gap in the claims, not a reason to loosen this test.
+_MAHONIAN_CLAIMS = ("tab2-mahonian", "tab3-mahonian", "thm4.20", "eq34")
+INGREDIENT_MUTANTS = [
+    ("vbot sums v", "_ingredients", [("vbot += v - 1", "vbot += v")], {
+        "tab2-mahonian": (1, "yzl1 is not Mahonian at n=1"),
+        "tab3-mahonian": (None, None),
+        "thm4.20": (None, None),
+        "eq34": (1, "1: yzl1 != den_p of reverse-complement-inverse"),
+    }),
+    ("excedance test v >= i", "_ingredients", [("v > i", "v >= i")], {
+        "tab2-mahonian": (1, "fz4 is not Mahonian at n=1"),
+        "tab3-mahonian": (1, "den is not Mahonian at n=1"),
+        "thm4.20": (None, None),
+        "eq34": (1, "1: yzl1 != den_p of reverse-complement-inverse"),
+    }),
+    ("ebot adds v", "_ingredients", [("ebot += i", "ebot += v")], {
+        "tab2-mahonian": (2, "fz4 is not Mahonian at n=2"),
+        "tab3-mahonian": (2, "den is not Mahonian at n=2"),
+        "thm4.20": (None, None),
+        "eq34": (2, "2,1: yzl1 != den_p of reverse-complement-inverse"),
+    }),
+    ("descent top and bottom swapped", "_ingredients",
+     [("dtop += a", "dtop += b"), ("dbot += b", "dbot += a")], {
+        "tab2-mahonian": (2, "mak_p is not Mahonian at n=2"),
+        "tab3-mahonian": (2, "mak is not Mahonian at n=2"),
+        "thm4.20": (2, "1,2: makl_p/makl: 1 != 2"),
+        "eq34": (None, None),
+    }),
+    # Only tab3 reads sor.
+    ("sor swap length off by one", "_sorting_index",
+     [("total += v - 1 - i", "total += v - i")], {
+        "tab2-mahonian": (None, None),
+        "tab3-mahonian": (2, "sor is not Mahonian at n=2"),
+        "thm4.20": (None, None),
+        "eq34": (None, None),
+    }),
+]
+
+
+@pytest.mark.parametrize("label, name, edits, expected", INGREDIENT_MUTANTS,
+                         ids=[row[0] for row in INGREDIENT_MUTANTS])
+def test_ingredient_loop_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
+                                                 label, name, edits, expected):
+    monkeypatch.setattr(perm_stats, name, _rewritten(name, edits))
+    got = {claim: _first_failure(claim)[1::2] for claim in _MAHONIAN_CLAIMS}
+    assert any(n is not None and n <= 4 for n, _ in got.values()), f"{label} survives"
+    assert got == expected
+
+
+def test_unmutated_rewrite_passes_the_claims(fresh_ingredients, monkeypatch):
+    for name in ("_ingredients", "_sorting_index"):
+        monkeypatch.setattr(perm_stats, name, _rewritten(name, []))
+    assert [_first_failure(claim)[1] for claim in _MAHONIAN_CLAIMS] == [None] * 4
 
 
 _history_statistics = histories.history_statistics

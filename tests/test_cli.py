@@ -6,9 +6,13 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srlaguerre
 from srlaguerre.cli import main
 from srlaguerre.multiset import IntMultiset
 
@@ -73,6 +77,16 @@ def test_map_examples(capsys):
     code, out = run_cli(capsys, "map", "--via", "fv-inv",
                         "NNNDESDSS/0,0,0,2,1,3,2,2,1")
     assert (code, out.strip()) == (0, "6,1,8,7,4,2,5,9,3")
+
+
+def test_module_runs_the_command_line(capsys):
+    code, out = run_cli(capsys, "map", "--via", "fv", "3,1,2")
+    src = Path(srlaguerre.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "srlaguerre", "map", "--via", "fv", "3,1,2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0
 
 
 def test_map_accepts_bare_digit_strings(capsys):
@@ -304,6 +318,18 @@ def test_max_n_env_not_an_integer(capsys, monkeypatch):
         assert code == 2
         assert (captured.out, captured.err) == (
             "", f"error: LAGUERRE_MAX_N must be an integer, got {raw!r}\n")
+
+
+def test_max_n_env_below_one(capsys, monkeypatch):
+    # A cap below 1 admits no size, so it is the variable that is wrong,
+    # not --n.
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("LAGUERRE_MAX_N", raw)
+        code = main(["enumerate", "--n", "3", "--kind", "perms"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == (
+            "", f"error: LAGUERRE_MAX_N must be at least 1, got {raw!r}\n")
 
 
 # Integer options are ASCII digits with an optional minus sign only, as

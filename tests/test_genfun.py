@@ -221,3 +221,34 @@ def test_multipoly_json_round_trip():
         exps = tuple(term["exps"].get(v, 0) for v in poly.variables)
         total.add_term(exps, term["coeff"])
     assert total == poly
+
+
+def _q_int(k: int, w: int) -> int:
+    """[k]_w = 1 + w + ... + w^(k-1)."""
+    return sum(w**j for j in range(k))
+
+
+# t1 = t2 = a and t3 = t4 = s = x = 1.
+_J_FRACTION_SUBST = {"t1": {"a": 1}, "t2": {"a": 1}, "t3": {}, "t4": {}, "r": {"r": 1},
+                     "s": {}, "x": {}, "v": {"v": 1}, "w": {"w": 1}}
+
+
+@pytest.mark.parametrize("a, r, v, w", [(2, 5, 7, 11), (3, 2, 1, 1), (1, 1, 2, 3)])
+def test_transfer_matches_flajolet_j_fraction(a, r, v, w):
+    """With t1 = t2 = a and t3 = t4 = s = x = 1 the cs step carries no
+    weight of its own, so A_n is a weighted-Motzkin sum: Flajolet's theorem
+    (Discrete Math. 32 (1980)) makes it the n-th moment of the J-fraction
+    with b_h = v^h([h+1]_w + a r w [h]_w) and
+    lambda_h = a r w v^(2h-1) [h]_w^2.  This checks the transfer matrix's
+    t1 + t2, r, v and w independently of enumeration up to n = 12.  It
+    leaves unchecked s (Asc), the t1/t2 and t3/t4 splits at cs, and x."""
+    def b(h):
+        return v**h * (_q_int(h + 1, w) + a * r * w * _q_int(h, w))
+
+    def lam(h):
+        return a * r * w * v**(2 * h - 1) * _q_int(h, w) ** 2
+
+    moments = jacobi_moments(b, lam, 13)
+    point = {"a": a, "r": r, "v": v, "w": w}
+    for n in range(1, 13):
+        assert _transfer(n, _J_FRACTION_SUBST).evaluate(point) == moments[n], n

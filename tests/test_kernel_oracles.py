@@ -14,7 +14,9 @@ passes over padded 1-based arrays and a branch chain, the XI_TABLE row of a
 position was found by a branch chain instead of the table's own key
 columns, and the linear, cyclic and shifted letter classes, three branch
 chains with phi_yzl's patch at the position of 1 and at step n on top,
-became one two-bit rule.  They are kept
+became one two-bit rule, and the Mahonian ingredients, read off a descent
+list, an excedance list and the inverse word, came from two loops over the
+letters and the adjacent pairs.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
 kernels must agree with them on all of S_n for n <= 7 and on seeded random
 permutations of size 50, 300 and 1000, the tree kernels and the
@@ -30,9 +32,12 @@ rescans the word for empty slots at every letter, and
 ``_old_phi_yzl_inv`` is the semi-arc construction, so it also witnesses
 the identity phi_yzl = phi_fz o kreweras from the decoding side.
 ``_old_mfs_full`` is the fold of the single-letter hop ``mfs_phi_x``, which
-is still the definition in ``src/``.  The last tests check that no family
-builds a multiset from more than n items, and that a history's statistics
-build exactly ten multisets.
+is still the definition in ``src/``.  ``_old_ingredients`` must return the
+same dict as ``_ingredients`` on all of S_n for n <= 7 and on Hypothesis
+permutations of size up to 1000; it reads sor off the dict-based
+``_sorting_index`` of ``test_mahonian_table``.  The last tests check that
+no family builds a multiset from more than n items, and that a history's
+statistics build exactly ten multisets.
 """
 from __future__ import annotations
 
@@ -47,6 +52,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_large_properties import large_histories
+from test_mahonian_table import _sorting_index as _old_sorting_index
 
 from srlaguerre.bijections import (
     PlacementImpossible,
@@ -82,8 +88,13 @@ from srlaguerre.perm_stats import (
     Permutation,
     ShiftedStatRecord,
     _ingredients,
+    _invert,
+    _last,
     _left_ranks,
+    _nesting_numbers,
     _one_glue_counts,
+    _pone,
+    _side_numbers,
     _variant_nesting,
     coordinate_counts,
     cyclic_classes,
@@ -247,6 +258,40 @@ def _old_one_glue_counts(word: tuple[int, ...]) -> dict[str, int]:
         "u13_2": r_hi - r_lo - rises - r2, "u31_2": f_hi - f_lo - falls - f2,
         "u12_3": n * rises - r_hi - r3, "u21_3": n * falls - f_hi - f3,
     }
+
+
+def _old_ingredients(word: tuple[int, ...]) -> dict[str, int]:
+    """Every ingredient value of a word.
+
+    The twelve one-glue counts, inv and |Vnest| are read off one left-rank
+    table, and the family sums off two letter lists: the descents as (top,
+    bottom) pairs and the excedances as (position, value) pairs.  |Vedif|
+    counts each excedance's range [i+1, v) and the n - pone letters after
+    the position of 1; |Vbot| counts, i times, each i in [n-1] whose
+    successor is no excedance value.
+    """
+    n = len(word)
+    pone = _pone(word)
+    ranks = _left_ranks(word)
+    g = _one_glue_counts(word, ranks)
+    g["inv"] = n * (n - 1) // 2 - sum(ranks)
+    g["vnest"] = sum(_variant_nesting(word, _nesting_numbers(word, ranks), pone))
+    drops = [(a, b) for a, b in zip(word, word[1:]) if a > b]
+    excs = [(i, v) for i, v in enumerate(word, start=1) if v > i]
+    dbot = sum(b for _, b in drops)
+    ebot = sum(i for i, _ in excs)
+    edif = sum(v for _, v in excs) - ebot
+    position = _invert(word)
+    g.update(
+        n=n, last=_last(word), pone=pone,
+        u21=len(drops), dbot=dbot, ddif=sum(a for a, _ in drops) - dbot,
+        exc=len(excs), ebot=ebot, edif=edif,
+        ine=sum(_side_numbers(word)),
+        vbot=sum(i for i in range(1, n) if position[i] > i),
+        vedif=edif - len(excs) + n - pone,
+        sor=_old_sorting_index(word),
+    )
+    return g
 
 
 def _old_linear_family(pi: Permutation) -> LinearStatRecord:
@@ -655,6 +700,18 @@ def test_left_rank_readers_match_oracles_on_small_perms():
 ], ids=lambda pi: f"n{pi.n}-{hash(pi.word) % 1000}")
 def test_left_rank_readers_match_oracles_on_large_perms(pi):
     _check_left_rank_readers(pi.word)
+
+
+def test_ingredients_match_list_oracle_on_small_perms():
+    for pi in _small_perms():
+        assert _ingredients.__wrapped__(pi.word) == _old_ingredients(pi.word), pi
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=1000).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_ingredients_match_list_oracle_on_large_perms(word):
+    assert _ingredients.__wrapped__(word) == _old_ingredients(word)
 
 
 def test_coordinate_errors_unchanged():

@@ -6,15 +6,21 @@ that ``vincular_count`` used then and the three statistic families, and one
 branch per statistic.  The table, every ingredient it computes and
 ``vincular_count`` must agree with them on all of S_n for small n and on
 seeded random permutations of size 50 and 300.  Two rows, yzl2_p and
-yzl4_p, are pinned pointwise to inv and fz4.  The perturbation test
-checks that the Mahonian claims notice any one-unit change to the table.
+yzl4_p, are pinned pointwise to inv and fz4.  The dict-based
+``_sorting_index`` below is also the oracle of the position-list one in
+``src/``, on Hypothesis permutations of size up to 1000.  The perturbation
+test checks that the Mahonian claims notice any one-unit change to the
+table.
 """
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srlaguerre import perm_stats
 from srlaguerre.claims import run_claim
 from srlaguerre.perm_stats import (
     _ingredients,
@@ -92,6 +98,13 @@ def _sorting_index(word: tuple[int, ...]) -> int:
             pos[other], pos[v] = i, v - 1
             total += (v - 1) - i
     return total
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=1000).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_sorting_index_matches_dict_oracle(word):
+    assert perm_stats._sorting_index(word) == _sorting_index(word)
 
 
 def _reference_ingredients(word: tuple[int, ...]) -> dict[str, int]:
