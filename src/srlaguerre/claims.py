@@ -33,7 +33,7 @@ from .mfs_action import (
     pattern_multisets_zero_boundary,
     starred_classes,
 )
-from .multiset import ContainmentViolation, IntMultiset, kappa
+from .multiset import ContainmentViolation, IntMultiset, as_ints, kappa
 from .bijections import (
     conjugated_map,
     kreweras,
@@ -142,10 +142,11 @@ def _test_involution(n: int, w_hist: LaguerreHistory) -> str | None:
 
 
 def _test_five_stat_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
-    g = history_statistics(w_hist)
-    h = history_statistics(xi(w_hist))
-    lhs = (len(g.Ht) - len(g.Wt), len(g.Neb), len(g.Sdeb), len(g.Nea), len(g.Sdea))
-    rhs = (len(h.Ht) - len(h.Wt), len(h.Sdea), len(h.Nea), len(h.Sdeb), len(h.Neb))
+    g = _a_exponents(w_hist)
+    h = _a_exponents(xi(w_hist))
+    # (|Ht| - |Wt|, Neb, Sdeb, Nea, Sdea) of W against (.., Sdea, Nea, Sdeb, Neb) of xi(W).
+    lhs = (g[7] - g[8], g[2], g[0], g[3], g[1])
+    rhs = (h[7] - h[8], h[1], h[3], h[0], h[2])
     if lhs != rhs:
         return f"{w_hist.to_text()}: {lhs} != {rhs}"
     return None
@@ -620,6 +621,7 @@ def run_claim(claim_id: str, n: int, threads: int = 1) -> ClaimOutcome:
     runs serially in the calling thread.
     """
     spec = get_claim(claim_id)
+    (n,) = as_ints([n], "claim sizes")
     if n < 1:
         raise ValueError(f"claims are stated for n >= 1, got n = {n}")
     start = time.monotonic()

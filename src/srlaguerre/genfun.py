@@ -21,8 +21,9 @@ from .histories import (
     NE_STEPS,
     LaguerreHistory,
     StepType,
-    history_statistics,
+    critical_step,
 )
+from .multiset import as_ints
 from .perm_stats import avoiders, iter_perms, statistic
 
 
@@ -116,9 +117,33 @@ A_VARIABLES = ("t1", "t2", "t3", "t4", "r", "s", "x", "v", "w")
 
 
 def _a_exponents(history: LaguerreHistory) -> tuple[int, ...]:
-    g = history_statistics(history)
-    return (len(g.Sdeb), len(g.Sdea), len(g.Neb), len(g.Nea), len(g.Nde),
-            len(g.Asc), g.cs, len(g.Ht), len(g.Wt))
+    """The exponents of ``history``'s monomial in A_n, in the order of
+    ``A_VARIABLES``: the sizes of the classes ``HistoryStatRecord`` defines,
+    cs, |Ht| and |Wt|, counted in one pass over the steps.  The tests hold
+    the sizes of a ``history_statistics`` record as its oracle."""
+    w, c = history.w, history.c
+    cs = critical_step(history)
+    sdeb = sdea = neb = nea = nde = asc = 0
+    # history_statistics' rule: i ascends when c_{i+1} > c_i (NE) or c_i - 1 (SdE).
+    low = c[0] if c else 0
+    for i, (step, weight) in enumerate(zip(w, c), start=1):
+        ne = step in NE_STEPS
+        if i < cs:
+            if ne:
+                neb += 1
+            else:
+                sdeb += 1
+        elif i > cs:
+            if ne:
+                nea += 1
+            else:
+                sdea += 1
+        if step in NDE_STEPS:
+            nde += 1
+        if low < weight:
+            asc += 1
+        low = weight if ne else weight - 1
+    return (sdeb, sdea, neb, nea, nde, asc, cs, sum(history.h), sum(c))
 
 
 def _step_exponents(n: int, i: int, step: StepType, height: int, weight: int,
@@ -153,6 +178,7 @@ def _transfer(n: int, subst: Mapping[str, Mapping[str, int]] | None = None) -> M
     ``subst``, n*n times the sum of its |exponents|; ``shift`` leaves room
     for every signed digit.
     """
+    (n,) = as_ints([n], "polynomial sizes")
     if n < 1:
         raise ValueError("n must be positive")
     variables, project = (A_VARIABLES, None) if subst is None else _substitution(A_VARIABLES, subst)
@@ -194,9 +220,9 @@ def a_polynomial(n: int) -> MultiPoly:
     """Sum over all length-n weighted paths of
     t1^sdeb t2^sdea t3^neb t4^nea r^nde s^asc x^cs v^ht w^wt.
 
-    Built by ``_transfer`` without enumerating the histories; the sum of
-    ``_a_exponents`` over ``enumerate_histories(n)`` is its oracle in the
-    tests."""
+    Built by ``_transfer`` without enumerating the histories; its oracle in
+    the tests sums each history's ``history_statistics`` record sizes over
+    ``enumerate_histories(n)``."""
     return _transfer(n)
 
 

@@ -311,6 +311,7 @@ def enumerate_histories(n: int) -> Iterator[LaguerreHistory]:
     """All n! histories of length n, in a fixed deterministic order:
     step words lexicographically (N < E < dE < S), then weight vectors
     lexicographically."""
+    (n,) = as_ints([n], "history lengths")
     if n < 0:
         raise ValueError("length must be nonnegative")
     make = LaguerreHistory._unchecked

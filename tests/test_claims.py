@@ -117,6 +117,19 @@ def test_sizes_below_one_are_rejected_before_any_sweep(monkeypatch, n):
             run_claim(claim, n)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+def test_non_integer_sizes_are_rejected_before_any_sweep(monkeypatch, n):
+    # 2.5 used to pass with checked = 0 and True to run as n = 1.
+    def refuse(size):
+        raise AssertionError("a sweep started")
+
+    for source in claims._ITEMS:
+        monkeypatch.setitem(claims._ITEMS, source, refuse)
+    for claim in claim_ids():
+        with pytest.raises(ValueError, match="claim sizes must be integers"):
+            run_claim(claim, n)
+
+
 def test_valley_hopping_reports_only_containment_failures(monkeypatch):
     """thm4.6 turns a starred class that does not fit into a counterexample,
     but lets a programming error propagate."""
@@ -376,11 +389,11 @@ def test_shared_sweep_mutants_fail_the_claims(fresh_ingredients, monkeypatch,
     assert got == expected
 
 
-def _rewritten(name: str, edits) -> types.FunctionType:
-    """``perm_stats.<name>`` compiled from its source with, for each (old,
-    new) edit, the one statement or expression that unparses to ``old``
+def _rewritten(name: str, edits, module=perm_stats) -> types.FunctionType:
+    """``module.<name>`` compiled from its source with, for each (old, new)
+    edit, the one statement or expression that unparses to ``old``
     replaced by ``new``.  It runs in a copy of the module's namespace."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(perm_stats, name))))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(module, name))))
     for old, new in edits:
         sites = [(parent, field, node) for parent in ast.walk(tree)
                  for field, value in ast.iter_fields(parent)
@@ -396,8 +409,8 @@ def _rewritten(name: str, edits) -> types.FunctionType:
             value[value.index(node)] = replacement
         else:
             setattr(parent, field, replacement)
-    namespace = dict(vars(perm_stats))
-    exec(compile(ast.fix_missing_locations(tree), perm_stats.__file__, "exec"), namespace)
+    namespace = dict(vars(module))
+    exec(compile(ast.fix_missing_locations(tree), module.__file__, "exec"), namespace)
     return namespace[name]
 
 
@@ -518,17 +531,18 @@ def _first_failure_or_raise(claim_id: str) -> tuple:
 
 
 # Mutants of the one-pass ``history_statistics``, each written as a wrapper
-# with the output of the code mutation it names.  Every claim that reads a
-# history's statistic record is pinned: cor3.3, cor3.6 and cor1.1 on xi,
-# and Props 4.3, 4.10 and 4.17 on the encodings.  (None, None) marks a
-# claim that reads no mutated entry, so it is no gap: cor3.3 reads neither
-# Asc nor Nde, and only the linear view reads Asc.
+# with the output of the code mutation it names.  Every claim on histories
+# is pinned: cor3.6 on xi and Props 4.3, 4.10 and 4.17 on the encodings
+# read the record.  (None, None) marks a claim that reads no mutated entry,
+# so it is no gap: cor3.3 and cor1.1 count A_n's exponents in
+# ``genfun._a_exponents`` (whose mutants are ``A_EXPONENT_MUTANTS``), and
+# only the linear view reads Asc.
 _HISTORY_CLAIMS = ("cor3.3", "cor3.6", "cor1.1", "prop4.3", "prop4.10", "prop4.17")
 HISTORY_STAT_MUTANTS = [
     (_asc_strict_for_every_step, [
         (None, None),
         (3, "NDS/0,1,1: Asc: {2} != {}"),
-        (3, "NDS/0,1,1: exponent relations violated"),
+        (None, None),
         (3, "3,2,1: Ides: {1,2} != {1}"),
         (None, None),
         (None, None),
@@ -536,15 +550,15 @@ HISTORY_STAT_MUTANTS = [
     (_cs_step_left_out_of_nde, [
         (None, None),
         (2, "NS/0,1: Nde: {1} != {}"),
-        (2, "NS/0,1: exponent relations violated"),
+        (None, None),
         (2, "2,1: Db: {1} != {}"),
         (2, "2,1: Ep: {1} != {}"),
         (2, "1,2: Vnex: {1} != {}"),
     ]),
     (_step_after_cs_counted_before, [
-        (2, "NS/0,1: (0, 0, 1, 0, 0) != (0, 0, 0, 0, 1)"),
+        (None, None),
         (2, "NS/0,1: Sdeb: {2} != {}"),
-        (2, "NS/0,1: exponent relations violated"),
+        (None, None),
         (2, "2,1: Dtb: {} != {2}"),
         (2, "2,1: Excb: {} != {2}"),
         (2, "1,2: Vnepb: {} != {2}"),
@@ -552,9 +566,9 @@ HISTORY_STAT_MUTANTS = [
     # The encoding claims subtract Nea and Sdea from Wt, so the short Wt
     # raises there instead of failing a comparison.
     (_last_weight_dropped_from_wt, [
-        (2, "NS/0,1: (1, 0, 0, 0, 1) != (0, 0, 0, 0, 1)"),
+        (None, None),
         (2, "NS/0,1: Wt: {} != {2}"),
-        (2, "NS/0,1: exponent relations violated"),
+        (None, None),
         (2, "raises ContainmentViolation"),
         (2, "raises ContainmentViolation"),
         (2, "raises ContainmentViolation"),
@@ -565,10 +579,62 @@ HISTORY_STAT_MUTANTS = [
 @pytest.mark.parametrize("mutant, expected", HISTORY_STAT_MUTANTS,
                          ids=[row[0].__name__.lstrip("_") for row in HISTORY_STAT_MUTANTS])
 def test_history_statistics_mutants_fail_the_claims(monkeypatch, mutant, expected):
-    # claims and genfun (through cor1.1's exponents) each import the kernel.
     _patch_everywhere(monkeypatch, _history_statistics, mutant)
-    assert claims.history_statistics is mutant and genfun.history_statistics is mutant
+    assert claims.history_statistics is mutant
     assert [_first_failure_or_raise(claim) for claim in _HISTORY_CLAIMS] == expected
+
+
+# The same four mutations made in the counting pass ``genfun._a_exponents``,
+# each an AST rewrite of its source: (label, edits, the first failure
+# (n, counterexample) at n <= 5 of cor3.3 and cor1.1).  Each must fail one
+# of them.  cor3.3 reads neither Asc nor Nde, so (None, None) there is no
+# gap; a survivor is a gap in the claims, not a reason to loosen this test.
+_EXPONENT_CLAIMS = ("cor3.3", "cor1.1")
+A_EXPONENT_MUTANTS = [
+    ("asc strict for every step", [("low = weight if ne else weight - 1", "low = weight")], [
+        (None, None),
+        (3, "NDS/0,1,1: exponent relations violated"),
+    ]),
+    ("cs step left out of nde", [("step in NDE_STEPS", "step in NDE_STEPS and i != cs")], [
+        (None, None),
+        (2, "NS/0,1: exponent relations violated"),
+    ]),
+    ("step after cs counted before", [("i < cs", "i < cs or i == cs + 1")], [
+        (2, "NS/0,1: (0, 0, 1, 0, 0) != (0, 0, 0, 0, 1)"),
+        (2, "NS/0,1: exponent relations violated"),
+    ]),
+    ("last weight dropped from wt", [("sum(c)", "sum(c[:-1])")], [
+        (2, "NS/0,1: (1, 0, 0, 0, 1) != (0, 0, 0, 0, 1)"),
+        (2, "NS/0,1: exponent relations violated"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("label, edits, expected", A_EXPONENT_MUTANTS,
+                         ids=[row[0] for row in A_EXPONENT_MUTANTS])
+def test_a_exponent_mutants_fail_the_claims(monkeypatch, label, edits, expected):
+    _patch_everywhere(monkeypatch, genfun._a_exponents,
+                      _rewritten("_a_exponents", edits, genfun))
+    got = [_first_failure_or_raise(claim) for claim in _EXPONENT_CLAIMS]
+    assert any(n is not None for n, _ in got), f"{label} survives"
+    assert got == expected
+
+
+def test_unmutated_a_exponents_rewrite_passes_the_claims(monkeypatch):
+    _patch_everywhere(monkeypatch, genfun._a_exponents, _rewritten("_a_exponents", [], genfun))
+    assert [_first_failure_or_raise(claim) for claim in _EXPONENT_CLAIMS] == [(None, None)] * 2
+
+
+def test_exponent_claims_build_no_statistic_record(monkeypatch):
+    # cor3.3 and cor1.1 read A_n's exponents off one counting pass; a claim
+    # that goes back to ``history_statistics`` raises here.
+    def refuse(history):
+        raise AssertionError("history_statistics called")
+
+    _patch_everywhere(monkeypatch, _history_statistics, refuse)
+    for n in range(1, 6):
+        for claim in _EXPONENT_CLAIMS:
+            assert run_claim(claim, n).status == "pass", (claim, n)
 
 
 # Every swap of two entries within one family column of ``claims._KEYS``:

@@ -5,6 +5,7 @@ from functools import cache
 from math import factorial
 
 import pytest
+from test_kernel_oracles import _record_exponents
 
 from srlaguerre import claims, genfun
 from srlaguerre.claims import run_claim
@@ -13,7 +14,6 @@ from srlaguerre.genfun import (
     MultiPoly,
     NegativePDegree,
     PQ_EULERIAN_SUBST,
-    _a_exponents,
     _transfer,
     a_polynomial,
     jacobi_moments,
@@ -27,10 +27,11 @@ from srlaguerre.perm_stats import UnknownStatistic
 
 @cache
 def _enumerated_a_polynomial(n: int) -> MultiPoly:
-    """A_n summed over the n! histories: the oracle of the transfer matrix."""
+    """A_n summed over the n! histories, each monomial read off its
+    statistic record: the oracle of the transfer matrix."""
     poly = MultiPoly(A_VARIABLES)
     for history in enumerate_histories(n):
-        poly.add_term(_a_exponents(history))
+        poly.add_term(_record_exponents(history))
     return poly
 
 
@@ -94,6 +95,14 @@ def test_qt_catalan_matches_the_direct_count(n):
 def test_zero_length_is_refused(build):
     for n in (0, -1):
         with pytest.raises(ValueError):
+            build(n)
+
+
+@pytest.mark.parametrize("build", [a_polynomial, qt_catalan])
+def test_non_integer_size_is_refused(build):
+    # 2.0 and 3.0 used to raise AttributeError inside the transfer matrix.
+    for n in (2.0, 3.0, 2.5, True):
+        with pytest.raises(ValueError, match="polynomial sizes must be integers"):
             build(n)
 
 

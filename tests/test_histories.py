@@ -181,6 +181,13 @@ def test_enumeration_matches_brute_force():
         assert got == set(brute_force_histories(n))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+def test_enumeration_refuses_a_non_integer_length(n):
+    # 2.5 used to yield no history at all.
+    with pytest.raises(ValueError, match="history lengths must be integers"):
+        list(enumerate_histories(n))
+
+
 def test_cardinality_is_factorial():
     for n in range(1, 8):
         assert sum(1 for _ in enumerate_histories(n)) == math.factorial(n)

@@ -35,7 +35,11 @@ the identity phi_yzl = phi_fz o kreweras from the decoding side.
 is still the definition in ``src/``.  ``_old_ingredients`` must return the
 same dict as ``_ingredients`` on all of S_n for n <= 7 and on Hypothesis
 permutations of size up to 1000; it reads sor off the dict-based
-``_sorting_index`` of ``test_mahonian_table``.  The last tests check that
+``_sorting_index`` of ``test_mahonian_table``.  ``_record_exponents``
+reads A_n's exponents off a ``history_statistics`` record, the body that
+``_a_exponents`` held before it became one counting pass; the two must
+agree on every history with n <= 7 and on random histories of size up to
+200.  The last tests check that
 no family builds a multiset from more than n items, and that a history's
 statistics build exactly ten multisets.
 """
@@ -64,6 +68,7 @@ from srlaguerre.bijections import (
     phi_yzl,
     phi_yzl_inv,
 )
+from srlaguerre.genfun import _a_exponents
 from srlaguerre.histories import (
     NDE_STEPS,
     NE_STEPS,
@@ -1016,6 +1021,35 @@ def test_xi_rejects_what_the_oracle_rejects():
                     assert outcome == _outcome(_old_xi, history), history.to_text()
                     outcomes[outcome if isinstance(outcome, type) else "image"] += 1
     assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+
+
+def _record_exponents(history: LaguerreHistory) -> tuple[int, ...]:
+    g = history_statistics(history)
+    return (len(g.Sdeb), len(g.Sdea), len(g.Neb), len(g.Nea), len(g.Nde),
+            len(g.Asc), g.cs, len(g.Ht), len(g.Wt))
+
+
+def test_a_exponents_match_record_oracle_on_small_histories():
+    count = 0
+    for n in range(0, 8):
+        for w_hist in enumerate_histories(n):
+            assert _a_exponents(w_hist) == _record_exponents(w_hist), w_hist.to_text()
+            count += 1
+    assert count == 5914
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_histories())
+def test_a_exponents_match_record_oracle_on_large_histories(w_hist):
+    assert _a_exponents(w_hist) == _record_exponents(w_hist)
+
+
+@pytest.mark.parametrize("exponents", [_a_exponents, _record_exponents],
+                         ids=["a_exponents", "record"])
+def test_a_exponents_refuse_a_history_with_no_zero_weight(exponents):
+    history = LaguerreHistory._unchecked((StepType.N, StepType.S), (0, 1), (1, 1))
+    with pytest.raises(ValueError, match="no weight of NS/1,1 is 0"):
+        exponents(history)
 
 
 # ---------------------------------------------------------------------------
