@@ -281,6 +281,7 @@ def joint_distribution(
 ) -> MultiPoly:
     """Joint distribution polynomial of the named statistics over S_n,
     optionally restricted to avoiders of a classical pattern."""
+    (n,) = as_ints([n], "distribution sizes")
     if n < 1:
         raise ValueError("n must be positive")
     fns = [statistic(name) for name in stats]
@@ -331,6 +332,7 @@ def jacobi_moments(
 ) -> list[int]:
     """First ``count`` moments of the continued fraction with level weights
     b_k and down weights lam_k, by weighted Motzkin-path counting."""
+    (count,) = as_ints([count], "moment counts")
     if count < 1:
         raise ValueError("count must be positive")
     moments = [1]
@@ -351,4 +353,5 @@ def laguerre_moments(alpha: int, count: int) -> list[int]:
     """First ``count`` moments of the Laguerre continued fraction, level
     weights 2k + alpha + 1 and down weights k(k + alpha); the k-th is
     (k + alpha)! / alpha!."""
+    (alpha,) = as_ints([alpha], "Laguerre alphas")
     return jacobi_moments(lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), count)

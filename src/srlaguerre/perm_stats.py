@@ -36,11 +36,14 @@ case but done in C by memmove.  Measured on one 2-vCPU Xeon with Python
 3.11, this is no slower than a Fenwick tree up to n = 3,000 on random and
 monotone words, and slower on monotone words from about n = 10,000.
 
-Costs for a permutation of size n: the linear family is O(n), and the
-cyclic and shifted families cost one sweep each, for the side numbers and
-the left ranks.  No family multiset is expanded: each is
-built from at most n (value, multiplicity) pairs, and the range unions
-(Ddif, Edif, Vedif) are counted by a difference array.  The generic
+Costs for a permutation of size n: each family record is one pass, over
+the adjacent pairs (linear) or over the letters (cyclic, shifted), that
+fills plain entry dicts, each on its side of the last letter or of pone,
+and files each index in the bucket of its letter class.  The linear
+family is O(n), and the cyclic and shifted families add one sweep each,
+for the side numbers and the left ranks.  No family multiset is expanded:
+each holds at most n (value, multiplicity) pairs, and the range unions
+(Ddif, Edif, Vedif) are counted by one difference array per record.  The generic
 vincular counter, kept for patterns of other shapes and for classical
 avoidance, is O(n^k) for a pattern of length k.
 """
@@ -170,9 +173,17 @@ class Permutation:
             raise ValueError(f"permutation JSON must be a list, got {data!r}") from None
 
 
+def _size(n: int) -> int:
+    """A permutation size: an exact integer, at least 0."""
+    (n,) = as_ints([n], "permutation sizes")
+    if n < 0:
+        raise ValueError(f"permutation sizes must be nonnegative, got {n}")
+    return n
+
+
 def iter_perms(n: int) -> Iterator[Permutation]:
     """All permutations of [n] in lexicographic order."""
-    for word in _permutations(range(1, n + 1)):
+    for word in _permutations(range(1, _size(n) + 1)):
         yield Permutation(word)
 
 
@@ -217,17 +228,14 @@ def trivial_bijection(pi: Permutation, which: str) -> Permutation:
 # Counting helpers shared by the families
 # ---------------------------------------------------------------------------
 
-def _range_union(ranges: Iterable[tuple[int, int]], size: int) -> IntMultiset:
-    """The multiset union of the integer ranges [lo, hi), lo <= hi, inside
-    1..size.
+def _range_union(diff: list[int], size: int) -> IntMultiset:
+    """The multiset union of integer ranges inside 1..size, from their
+    difference array: each range [lo, hi) has added 1 at ``diff[lo]`` and
+    -1 at ``diff[hi]``, and ``diff`` has size + 2 cells.
 
-    Counted by a difference array in O(size + number of ranges), so the
-    union is never expanded into a list of its entries.
+    The prefix sums give each value's multiplicity in O(size), so the union
+    is never expanded into a list of its entries.
     """
-    diff = [0] * (size + 2)
-    for lo, hi in ranges:
-        diff[lo] += 1
-        diff[hi] -= 1
     return _with_counts(range(1, size + 1), accumulate(diff[1:size + 1]))
 
 
@@ -312,35 +320,44 @@ class LinearStatRecord:
 
 
 def linear_family(pi: Permutation) -> LinearStatRecord:
-    """The linear family in O(n): no multiset holds more than n entries."""
+    """The linear family in one pass over the adjacent pairs.
+
+    A pair (a, b) at positions i, i + 1 files its entries, each on its side
+    of the last letter, and adds its descent range [b + 1, a + 1) to one
+    difference array; Ides reads the same pair of the inverse word.  A
+    descent top or ascent bottom is never the last letter, a descent
+    bottom may be.  No multiset holds more than n entries.
+    """
     word = pi.word
     n = len(word)
     last = _last(word)
-    des_pos: list[int] = []
-    asc_bottoms: list[int] = []
-    for i in range(1, n):
-        a, b = word[i - 1], word[i]
+    des, ides, dt, db, ab = {}, {}, {}, {}, {}
+    dtb, dta, dbb, dba, abb, aba, dbot = {}, {}, {}, {}, {}, {}, {}
+    diff = [0] * (n + 2)
+    inverse = pi.inverse_word
+    for i, a, b, p, q in zip(count(1), word, word[1:], inverse, inverse[1:]):
+        if p > q:
+            ides[i] = 1
         if a > b:
-            des_pos.append(i)
+            des[i] = dt[a] = db[b] = 1
+            dbot[b] = b
+            diff[b + 1] += 1
+            diff[a + 1] -= 1
+            (dtb if a < last else dta)[a] = 1
+            if b < last:
+                dbb[b] = 1
+            elif b > last:
+                dba[b] = 1
         else:
-            asc_bottoms.append(a)
-    dt = [word[i - 1] for i in des_pos]
-    db = [word[i] for i in des_pos]
-    ides = [i for i in range(1, n) if pi.inverse_word[i - 1] > pi.inverse_word[i]]
+            ab[a] = 1
+            (abb if a < last else aba)[a] = 1
+    wrap = IntMultiset._unchecked
     return LinearStatRecord(
-        Des=_distinct(des_pos),
-        Ides=_distinct(ides),
-        Dt=_distinct(dt),
-        Db=_distinct(db),
-        Ab=_distinct(asc_bottoms),
-        Dtb=_distinct(v for v in dt if v < last),
-        Dta=_distinct(v for v in dt if v > last),
-        Dbb=_distinct(v for v in db if v < last),
-        Dba=_distinct(v for v in db if v > last),
-        Abb=_distinct(v for v in asc_bottoms if v < last),
-        Aba=_distinct(v for v in asc_bottoms if v > last),
-        Ddif=_range_union(((b + 1, a + 1) for a, b in zip(dt, db)), n),
-        Dbot=_with_counts(db, db),
+        Des=wrap(des), Ides=wrap(ides), Dt=wrap(dt), Db=wrap(db), Ab=wrap(ab),
+        Dtb=wrap(dtb), Dta=wrap(dta), Dbb=wrap(dbb), Dba=wrap(dba),
+        Abb=wrap(abb), Aba=wrap(aba),
+        Ddif=_range_union(diff, n),
+        Dbot=wrap(dbot),
     )
 
 
@@ -404,30 +421,54 @@ def _side_numbers(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def cyclic_family(pi: Permutation) -> CyclicStatRecord:
-    """The cyclic family, at the cost of the side numbers."""
+    """The cyclic family in one pass over the letters, at the cost of the
+    side numbers.
+
+    The letter v = pi(i) files its entries, each on its side of the last
+    letter, and an excedance adds its range [i + 1, v + 1) to one
+    difference array; the index i goes to the bucket of its step in
+    ``cyclic_classes``.  The last letter is a non-excedance value, so no
+    excedance value equals it.
+    """
     word = pi.word
     n = len(word)
     last = _last(word)
-    ep = [i for i in range(1, n + 1) if word[i - 1] > i]
-    exc = [word[i - 1] for i in ep]
-    nexc = [word[i - 1] for i in range(1, n + 1) if word[i - 1] <= i]
     side = side_numbers(pi)
-    cval, cdd, cda, cpk = _by_step(range(1, n + 1), cyclic_classes(word, pi.inverse_word))
+    exc, nexc, ep, excb, exca, nexcb, nexca = {}, {}, {}, {}, {}, {}, {}
+    epb, epa, ebot, ine = {}, {}, {}, {}
+    # The buckets of the steps N, E, dE and S.
+    cval, cdd, cda, cpk = buckets = {}, {}, {}, {}
+    diff = [0] * (n + 2)
+    for i, v, s, step in zip(count(1), word, side, cyclic_classes(word, pi.inverse_word)):
+        buckets[step][i] = 1
+        if s:
+            ine[v] = s
+        if v > i:
+            exc[v] = ep[i] = 1
+            ebot[i] = i
+            diff[i + 1] += 1
+            diff[v + 1] -= 1
+            (excb if v < last else exca)[v] = 1
+            if i < last:
+                epb[i] = 1
+            elif i > last:
+                epa[i] = 1
+        else:
+            nexc[v] = 1
+            if v < last:
+                nexcb[v] = 1
+            elif v > last:
+                nexca[v] = 1
+    wrap = IntMultiset._unchecked
     return CyclicStatRecord(
-        Exc=_distinct(exc),
-        Nexc=_distinct(nexc),
-        Ep=_distinct(ep),
-        Excb=_distinct(v for v in exc if v < last),
-        Exca=_distinct(v for v in exc if v > last),
-        Nexcb=_distinct(v for v in nexc if v < last),
-        Nexca=_distinct(v for v in nexc if v > last),
-        Epb=_distinct(i for i in ep if i < last),
-        Epa=_distinct(i for i in ep if i > last),
-        Edif=_range_union(((i + 1, word[i - 1] + 1) for i in ep), n),
-        Ebot=_with_counts(ep, ep),
-        Ine=_with_counts(word, side),
+        Exc=wrap(exc), Nexc=wrap(nexc), Ep=wrap(ep),
+        Excb=wrap(excb), Exca=wrap(exca), Nexcb=wrap(nexcb), Nexca=wrap(nexca),
+        Epb=wrap(epb), Epa=wrap(epa),
+        Edif=_range_union(diff, n),
+        Ebot=wrap(ebot),
+        Ine=wrap(ine),
         side=side,
-        Cpk=cpk, Cval=cval, Cda=cda, Cdd=cdd,
+        Cpk=wrap(cpk), Cval=wrap(cval), Cda=wrap(cda), Cdd=wrap(cdd),
     )
 
 
@@ -496,36 +537,65 @@ def _variant_nesting(
 
 
 def shifted_family(pi: Permutation) -> ShiftedStatRecord:
-    """The shifted-cyclic family, at the cost of the nestings."""
+    """The shifted-cyclic family in one pass over the letters, at the cost
+    of the nestings.
+
+    The letter v = pi(i) files i, on its side of pone, as an excedance
+    position or not, and an excedance adds its range [i + 1, v) to one
+    difference array, which also holds the positions after pone,
+    [pone + 1, n + 1).  The letter 1 sits at pone, so pone is no
+    excedance position.  A non-excedance letter v > 1 files v - 1 in Vnex:
+    the i in [n-1] whose successor sits at a position > i are those whose
+    successor is a non-excedance value.  Each i in [n-1] goes to the bucket
+    of its step in ``shifted_classes``.
+    """
     word = pi.word
     n = len(word)
     pone = _pone(word)
     nest = nesting_numbers(pi)
     vnest = _variant_nesting(word, nest, pone)
-    ep = [i for i in range(1, n + 1) if word[i - 1] > i]
-    nep = [i for i in range(1, n + 1) if word[i - 1] <= i]
-    inverse = pi.inverse_word
-    scval, scda, scdd, scpk = _by_step(range(1, n), shifted_classes(word, inverse[1:]))
-    # The i in [n-1] whose successor is no excedance value.
-    vnex = [i for i in range(1, n) if inverse[i] > i]
-    vedif = [(i + 1, word[i - 1]) for i in ep]
-    vedif.append((pone + 1, n + 1))
+    nep, vnex, vnepb, vnepa, vnexb, vnexa = {}, {}, {}, {}, {}, {}
+    vepb, vepa, vbot, vnest_entries = {}, {}, {}, {}
+    # The buckets of the steps N, E, dE and S.
+    scval, scda, scdd, scpk = buckets = {}, {}, {}, {}
+    for i, step in zip(count(1), shifted_classes(word, pi.inverse_word[1:])):
+        buckets[step][i] = 1
+    diff = [0] * (n + 2)
+    diff[pone + 1] += 1
+    diff[n + 1] -= 1
+    for i, v, m in zip(count(1), word, vnest):
+        if m:
+            vnest_entries[i] = m
+        if v > i:
+            diff[i + 1] += 1
+            diff[v] -= 1
+            (vepb if i < pone else vepa)[i] = 1
+        else:
+            nep[i] = 1
+            if i < pone:
+                vnepb[i] = 1
+            elif i > pone:
+                vnepa[i] = 1
+            if v > 1:
+                j = v - 1
+                vnex[j] = 1
+                vbot[j] = j
+                if j < pone:
+                    vnexb[j] = 1
+                elif j > pone:
+                    vnexa[j] = 1
+    wrap = IntMultiset._unchecked
     return ShiftedStatRecord(
         pone=pone,
         nest=nest,
         vnest=vnest,
-        Scval=scval, Scpk=scpk, Scda=scda, Scdd=scdd,
-        Nep=_distinct(nep),
-        Vnex=_distinct(vnex),
-        Vnepb=_distinct(i for i in nep if i < pone),
-        Vnepa=_distinct(i for i in nep if i > pone),
-        Vnexb=_distinct(i for i in vnex if i < pone),
-        Vnexa=_distinct(i for i in vnex if i > pone),
-        Vepb=_distinct(i for i in ep if i < pone),
-        Vepa=_distinct(i for i in ep if i > pone),
-        Vedif=_range_union(vedif, n),
-        Vbot=_with_counts(vnex, vnex),
-        Vnest=_with_counts(range(1, n + 1), vnest),
+        Scval=wrap(scval), Scpk=wrap(scpk), Scda=wrap(scda), Scdd=wrap(scdd),
+        Nep=wrap(nep), Vnex=wrap(vnex),
+        Vnepb=wrap(vnepb), Vnepa=wrap(vnepa), Vnexb=wrap(vnexb), Vnexa=wrap(vnexa),
+        Vepb=wrap(vepb), Vepa=wrap(vepa),
+        Vedif=_range_union(diff, n),
+        Vbot=wrap(vbot),
+        Vnest=wrap(vnest_entries),
     )
 
 
@@ -1001,7 +1071,7 @@ def _gen_312_avoiding(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def avoiders(n: int, pattern: Sequence[int]) -> Iterator[Permutation]:
     """All permutations of [n] avoiding the classical pattern."""
     pat = Permutation(pattern).word
-    values = tuple(range(1, n + 1))
+    values = tuple(range(1, _size(n) + 1))
     if pat == (3, 1, 2):
         for word in _gen_312_avoiding(values):
             yield Permutation._unchecked(word)

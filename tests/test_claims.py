@@ -1,7 +1,7 @@
 """Tests for the claim runner: pinned counterexample strings, threads, and
 mutations of the encoders, the letter-class rule, the shared sweeps, the
-encoding-claim table, its formulas, its conjugation pairs and the csz rows
-that the claims must catch."""
+family loops, the encoding-claim table, its formulas, its conjugation
+pairs and the csz rows that the claims must catch."""
 from __future__ import annotations
 
 import ast
@@ -17,6 +17,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from test_kernel_oracles import _old_cyclic_family, _old_linear_family, _old_shifted_family
 
 from srlaguerre import bijections, claims, genfun, histories, mfs_action, perm_stats
 from srlaguerre.bijections import (
@@ -635,6 +636,141 @@ def test_exponent_claims_build_no_statistic_record(monkeypatch):
     for n in range(1, 6):
         for claim in _EXPONENT_CLAIMS:
             assert run_claim(claim, n).status == "pass", (claim, n)
+
+
+# Single-token mutants of the one-pass family builders
+# ``perm_stats.linear_family``, ``cyclic_family`` and ``shifted_family``,
+# each an AST rewrite of the function's source: (label, function, edits,
+# the first failure (n, counterexample) at n <= 5 of each encoding claim
+# that notices it; every claim of ``_FAMILY_CLAIMS`` not listed reads
+# (None, None)).  A claim that raises reads "raises <error>".  Each must
+# fail one of them by n = 4.  Equivalent rewrites are left out: ``a <
+# last`` -> ``a <= last`` changes nothing, since a descent top or ascent
+# bottom is never the last letter.
+_FAMILY_CLAIMS = ("prop4.3", "cor4.4", "prop4.10", "csz-corollary", "eta-corollary",
+                  "prop4.17", "rho-corollary")
+FAMILY_LOOP_MUTANTS = [
+    ("Ides reads the ascents", "linear_family", [("p > q", "p < q")], {
+        "prop4.3": (2, "1,2: Ides: {1} != {}"),
+    }),
+    ("descent range from the bottom", "linear_family", [("diff[b + 1] += 1", "diff[b] += 1")], {
+        "prop4.3": (2, "2,1: Ddif: {1,2} != {2}"),
+        "csz-corollary": (2, "2,1: Ddif/Edif: {1,2} != {2}"),
+    }),
+    ("descent top filed after last", "linear_family",
+     [("(dtb if a < last else dta)[a] = 1", "(dta if a < last else dta)[a] = 1")], {
+        "prop4.3": (3, "2,1,3: Dtb: {} != {2}"),
+        "cor4.4": (3, "2,1,3: Dtb: {} != {2}"),
+    }),
+    ("last letter filed in Dba", "linear_family", [("b > last", "b >= last")], {
+        "prop4.3": (2, "2,1: Dba: {1} != {}"),
+    }),
+    ("descent bottom filed as the top", "linear_family",
+     [("des[i] = dt[a] = db[b] = 1", "des[i] = dt[a] = db[a] = 1")], {
+        "prop4.3": (2, "2,1: Db: {2} != {1}"),
+        "cor4.4": (2, "raises OutOfRange"),
+        "csz-corollary": (2, "2,1: Db/Ep: {2} != {1}"),
+    }),
+    ("ascent bottom filed as the top", "linear_family", [("ab[a] = 1", "ab[b] = 1")], {
+        "csz-corollary": (2, "1,2: Ab/Nexc: {2} != {1}"),
+    }),
+    ("cyclic excedance test v >= i", "cyclic_family", [("v > i", "v >= i")], {
+        "prop4.10": (1, "raises ContainmentViolation"),
+        "csz-corollary": (1, "raises ContainmentViolation"),
+        "eta-corollary": (1, "raises ContainmentViolation"),
+    }),
+    ("side number filed under the position", "cyclic_family", [("ine[v] = s", "ine[i] = s")], {
+        "prop4.10": (4, "raises ContainmentViolation"),
+        "csz-corollary": (4, "3,1,4,2: 2-13: {3} != {2}"),
+        "eta-corollary": (4, "raises ContainmentViolation"),
+    }),
+    ("Ebot weighted by the value", "cyclic_family", [("ebot[i] = i", "ebot[i] = v")], {
+        "csz-corollary": (2, "2,1: Dbot/Ebot: {1} != {1^2}"),
+    }),
+    ("last filed in Epb", "cyclic_family", [("i < last", "i <= last")], {
+        "prop4.10": (2, "2,1: Epb: {1} != {}"),
+    }),
+    ("excedance range from the position", "cyclic_family", [("diff[i + 1] += 1", "diff[i] += 1")], {
+        "prop4.10": (2, "2,1: Edif: {1,2} != {2}"),
+        "csz-corollary": (2, "2,1: 31-2: {} != {1}"),
+        "eta-corollary": (2, "1,2: Edif-Exc-Ine: {} != {2}"),
+    }),
+    ("excedance value filed after last", "cyclic_family",
+     [("(excb if v < last else exca)[v] = 1", "(exca if v < last else exca)[v] = 1")], {
+        "prop4.10": (3, "2,1,3: Excb: {} != {2}"),
+        "csz-corollary": (3, "2,1,3: 2-13: {2} != {}"),
+        "eta-corollary": (3, "2,1,3: Ine+Excb-Nexca: {} != {2}"),
+    }),
+    ("shifted excedance test v >= i", "shifted_family", [("v > i", "v >= i")], {
+        "prop4.17": (1, "raises ContainmentViolation"),
+        "rho-corollary": (1, "raises ContainmentViolation"),
+    }),
+    ("pone's range from pone", "shifted_family", [("diff[pone + 1] += 1", "diff[pone] += 1")], {
+        "prop4.17": (1, "1: Vedif: {1} != {}"),
+    }),
+    ("pone filed in Vnexb", "shifted_family", [("j < pone", "j <= pone")], {
+        "prop4.17": (2, "1,2: Vnexb: {1} != {}"),
+    }),
+    ("non-excedance position filed after pone", "shifted_family",
+     [("vnepb[i] = 1", "vnepa[i] = 1")], {
+        "prop4.17": (3, "3,2,1: Vnepb: {} != {2}"),
+        "rho-corollary": (3, "1,3,2: Vepb: {} != {2}"),
+    }),
+    ("vnest filed under the letter", "shifted_family",
+     [("vnest_entries[i] = m", "vnest_entries[v] = m")], {
+        "prop4.17": (3, "raises ContainmentViolation"),
+        "rho-corollary": (3, "raises ContainmentViolation"),
+    }),
+    ("Vnex takes the letter", "shifted_family", [("j = v - 1", "j = v")], {
+        "prop4.17": (2, "1,2: Vnexa: {2} != {}"),
+        "rho-corollary": (2, "raises ContainmentViolation"),
+    }),
+]
+
+
+@pytest.mark.parametrize("label, name, edits, expected", FAMILY_LOOP_MUTANTS,
+                         ids=[row[0] for row in FAMILY_LOOP_MUTANTS])
+def test_family_loop_mutants_fail_the_claims(monkeypatch, label, name, edits, expected):
+    _patch_everywhere(monkeypatch, getattr(perm_stats, name), _rewritten(name, edits))
+    got = {claim: _first_failure_or_raise(claim) for claim in _FAMILY_CLAIMS}
+    assert any(n is not None and n <= 4 for n, _ in got.values()), f"{label} survives"
+    assert {claim: first for claim, first in got.items() if first != (None, None)} == expected
+
+
+def test_unmutated_family_rewrites_pass_the_claims(monkeypatch):
+    for name in ("linear_family", "cyclic_family", "shifted_family"):
+        _patch_everywhere(monkeypatch, getattr(perm_stats, name), _rewritten(name, []))
+    assert [_first_failure_or_raise(claim) for claim in _FAMILY_CLAIMS] == [(None, None)] * 7
+
+
+# Mutants of the family loops that no encoding claim notices to n = 5,
+# because no claim reads the entry they change: Des, Nep, Vbot and the
+# class buckets Cpk/Cval/Cda/Cdd and Scval/Scpk/Scda/Scdd.  They are a gap
+# in the claims; only the differential oracles of ``test_kernel_oracles``
+# catch them.
+FAMILY_LOOP_SURVIVORS = [
+    ("Des filed under the top", "linear_family",
+     [("des[i] = dt[a] = db[b] = 1", "des[a] = dt[a] = db[b] = 1")]),
+    ("cyclic buckets N and E swapped", "cyclic_family",
+     [("cval, cdd, cda, cpk = buckets = ({}, {}, {}, {})",
+       "cdd, cval, cda, cpk = buckets = ({}, {}, {}, {})")]),
+    ("shifted buckets N and E swapped", "shifted_family",
+     [("scval, scda, scdd, scpk = buckets = ({}, {}, {}, {})",
+       "scda, scval, scdd, scpk = buckets = ({}, {}, {}, {})")]),
+    ("Nep filed under the letter", "shifted_family", [("nep[i] = 1", "nep[v] = 1")]),
+    ("Vbot weighted by the letter", "shifted_family", [("vbot[j] = j", "vbot[j] = v")]),
+]
+
+
+@pytest.mark.parametrize("label, name, edits", FAMILY_LOOP_SURVIVORS,
+                         ids=[row[0] for row in FAMILY_LOOP_SURVIVORS])
+def test_family_loop_survivors_are_caught_only_by_the_oracles(monkeypatch, label, name, edits):
+    oracle = {"linear_family": _old_linear_family, "cyclic_family": _old_cyclic_family,
+              "shifted_family": _old_shifted_family}[name]
+    mutant = _rewritten(name, edits)
+    assert any(mutant(pi) != oracle(pi) for n in range(1, 5) for pi in iter_perms(n)), label
+    _patch_everywhere(monkeypatch, getattr(perm_stats, name), mutant)
+    assert [_first_failure_or_raise(claim) for claim in _FAMILY_CLAIMS] == [(None, None)] * 7
 
 
 # Every swap of two entries within one family column of ``claims._KEYS``:

@@ -4,7 +4,9 @@ Each ``_old_*`` function below is the implementation that ``src/`` held
 before the coordinate, side and nesting counts became Fenwick sweeps, the
 inversions and the twelve one-glue counts (each its own sorted-list sweep)
 became readers of the one left-rank table ``_left_ranks``, the family
-multisets were built from (value, count) pairs, the column placement found
+multisets were built from (value, count) pairs and then each family record
+in one pass over the pairs or letters that fills plain entry dicts and one
+difference array, the column placement found
 its slot in a list of open slots, the shifted-cyclic decoder went through
 the cyclic one and the Kreweras complement, the linear decoder
 and valley hopping became a pass over a binary tree, ``history_statistics``
@@ -18,7 +20,9 @@ became one two-bit rule, and the Mahonian ingredients, read off a descent
 list, an excedance list and the inverse word, came from two loops over the
 letters and the adjacent pairs.  They are kept
 verbatim, renamed with an ``_old_`` prefix, as differential oracles: the
-kernels must agree with them on all of S_n for n <= 7 and on seeded random
+kernels must agree with them on all of S_n for n <= 7 (the linear and
+cyclic families also on the empty permutation, where ``_old_shifted_family``
+raises, so the shifted one is compared with the all-empty record) and on seeded random
 permutations of size 50, 300 and 1000, the tree kernels and the
 left-rank readers (nesting numbers included) also on monotone words of
 size 3000, the left-rank readers on random words of size 3000, and the
@@ -48,6 +52,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
+from dataclasses import fields
 from functools import partial
 from itertools import product
 from typing import Sequence
@@ -649,6 +654,20 @@ def test_per_position_readers_match_oracles():
 def test_families_match_oracles_on_small_perms():
     for pi in _small_perms():
         _check_families(pi)
+
+
+def test_families_on_the_empty_permutation():
+    # _small_perms starts at n = 1; at n = 0, last = pone = 0.
+    # _old_shifted_family reads pi.position(1), which raises IndexError
+    # here, so the shifted record is compared with the all-empty one.
+    empty = Permutation(())
+    assert linear_family(empty) == _old_linear_family(empty)
+    assert cyclic_family(empty) == _old_cyclic_family(empty)
+    with pytest.raises(IndexError):
+        _old_shifted_family(empty)
+    entries = {field.name: IntMultiset() for field in fields(ShiftedStatRecord)
+               if field.type == "IntMultiset"}
+    assert shifted_family(empty) == ShiftedStatRecord(pone=0, nest=(), vnest=(), **entries)
 
 
 def test_mfs_full_matches_fold_of_single_hops_on_small_perms():

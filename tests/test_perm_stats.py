@@ -111,7 +111,7 @@ def test_avoidance_patterns_take_exact_integers():
 
 
 def test_iter_perms_counts():
-    for n in range(1, 6):
+    for n in range(0, 6):
         assert sum(1 for _ in iter_perms(n)) == math.factorial(n)
 
 
@@ -377,6 +377,7 @@ def test_coordinate_stats_sum_to_pattern_count():
 
 
 def test_avoiders_catalan_counts():
+    assert sum(1 for _ in avoiders(0, (3, 1, 2))) == 1
     assert sum(1 for _ in avoiders(4, (2, 1, 3))) == 14
     assert sum(1 for _ in avoiders(6, (3, 1, 2))) == 132
 
