@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Sequence
 
 from .genfun import _a_exponents, laguerre_moments
 from .histories import (
+    NDE_STEPS,
+    NE_STEPS,
     LaguerreHistory,
     critical_step,
     enumerate_histories,
@@ -152,9 +154,49 @@ def _test_five_stat_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
     return None
 
 
-def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
+def _reflects(n: int, w_hist: LaguerreHistory, v_hist: LaguerreHistory) -> bool:
+    """Whether W and V meet Cor 3.6's eight identities, read pointwise in
+    one pass: step i of W against step j = n+1-i of V.
+
+    The four class identities say that cs(V) = n+1-cs(W) and that, away
+    from cs, step i of W is NE exactly when step j of V is SdE.  The Ht and
+    Wt identities say h_i = g_j + u and c_i = b_j + u, with u = 1 when
+    j is in Neb(V), -1 when j is in Sdea(V), else 0.  The Nde and Asc
+    identities say that i-1 is in Nde(W), or Asc(W), exactly when j is not
+    in Nde(V), or Asc(V), with ``history_statistics``' ascent rule.
+    """
+    crit = n + 1 - critical_step(w_hist)
+    if n and critical_step(v_hist) != crit:
+        return False
+    # Step i-1 of W (its Nde flag and ascent threshold) and b_{j+1} of V.
+    nde_before = low_before = weight_after = None
+    for j, step, height, weight, image, g_j, b_j in zip(
+            range(n, 0, -1), w_hist.w, w_hist.h, w_hist.c,
+            reversed(v_hist.w), reversed(v_hist.h), reversed(v_hist.c)):
+        ne = image in NE_STEPS
+        source_ne = step in NE_STEPS
+        if j != crit and ne == source_ne:
+            return False
+        u = (j < crit and ne) - (j > crit and not ne)
+        if height != g_j + u or weight != b_j + u:
+            return False
+        nde = image in NDE_STEPS
+        low = b_j if ne else b_j - 1
+        if j < n and (nde == nde_before or (low < weight_after) == (low_before < weight)):
+            return False
+        nde_before = step in NDE_STEPS
+        low_before = weight if source_ne else weight - 1
+        weight_after = b_j
+    return True
+
+
+def _multiset_symmetry(n: int, w_hist: LaguerreHistory, v_hist: LaguerreHistory) -> str | None:
+    """Cor 3.6 for W and V.  Only when ``_reflects`` finds a mismatch are
+    the two records built, to name the first check that fails."""
+    if _reflects(n, w_hist, v_hist):
+        return None
     g = history_statistics(w_hist)
-    h = history_statistics(xi(w_hist))
+    h = history_statistics(v_hist)
     checks = [
         ("Neb", g.Neb, _kap(n, h.Sdea)),
         ("Sdeb", g.Sdeb, _kap(n, h.Nea)),
@@ -166,6 +208,10 @@ def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
         ("Asc", _full_range(n) - g.Asc, kappa(n, h.Asc)),
     ]
     return _first_mismatch(w_hist, checks)
+
+
+def _test_multiset_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
+    return _multiset_symmetry(n, w_hist, xi(w_hist))
 
 
 def _a_image(n: int, exps: Sequence[int]) -> tuple[int, ...]:

@@ -352,6 +352,9 @@ def jacobi_moments(
 def laguerre_moments(alpha: int, count: int) -> list[int]:
     """First ``count`` moments of the Laguerre continued fraction, level
     weights 2k + alpha + 1 and down weights k(k + alpha); the k-th is
-    (k + alpha)! / alpha!."""
+    (k + alpha)! / alpha!.  A negative alpha is refused: the fraction's
+    down weights k(k + alpha) then reach 0 or below."""
     (alpha,) = as_ints([alpha], "Laguerre alphas")
+    if alpha < 0:
+        raise ValueError(f"Laguerre alpha must be nonnegative, got {alpha}")
     return jacobi_moments(lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), count)

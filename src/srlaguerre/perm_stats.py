@@ -302,7 +302,9 @@ def _by_step(items: Iterable[int], steps: Iterable[StepType]) -> list[IntMultise
 
 @dataclass(frozen=True)
 class LinearStatRecord:
-    """Descent/ascent statistics of a permutation read as a word."""
+    """Descent/ascent statistics of a permutation read as a word.  No
+    identity reads Des: ``stat --stat all`` prints it, and only the tests'
+    ``_old_linear_family`` oracle checks it."""
 
     Des: IntMultiset
     Ides: IntMultiset
@@ -367,7 +369,9 @@ def linear_family(pi: Permutation) -> LinearStatRecord:
 
 @dataclass(frozen=True)
 class CyclicStatRecord:
-    """Excedance statistics of a permutation read as a bijection."""
+    """Excedance statistics of a permutation read as a bijection.  No
+    identity reads Cpk, Cval, Cda or Cdd: ``stat --stat all`` prints them,
+    and only the tests' ``_old_cyclic_family`` oracle checks them."""
 
     Exc: IntMultiset
     Nexc: IntMultiset
@@ -478,7 +482,10 @@ def cyclic_family(pi: Permutation) -> CyclicStatRecord:
 
 @dataclass(frozen=True)
 class ShiftedStatRecord:
-    """Nesting statistics shifted around pone, the position of the letter 1."""
+    """Nesting statistics shifted around pone, the position of the letter 1.
+    No identity reads Nep, Vbot, Scval, Scpk, Scda or Scdd: ``stat --stat
+    all`` prints them, and only the tests' ``_old_shifted_family`` oracle
+    checks them."""
 
     pone: int
     nest: tuple[int, ...]

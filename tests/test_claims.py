@@ -1,7 +1,8 @@
 """Tests for the claim runner: pinned counterexample strings, threads, and
 mutations of the encoders, the letter-class rule, the shared sweeps, the
 family loops, the encoding-claim table, its formulas, its conjugation
-pairs and the csz rows that the claims must catch."""
+pairs and the csz rows that the claims must catch, and mutations of cor3.6's
+reflected pass that its record oracle must notice."""
 from __future__ import annotations
 
 import ast
@@ -17,7 +18,12 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from test_kernel_oracles import _old_cyclic_family, _old_linear_family, _old_shifted_family
+from test_kernel_oracles import (
+    _old_cyclic_family,
+    _old_linear_family,
+    _old_shifted_family,
+    record_outcomes,
+)
 
 from srlaguerre import bijections, claims, genfun, histories, mfs_action, perm_stats
 from srlaguerre.bijections import (
@@ -533,16 +539,17 @@ def _first_failure_or_raise(claim_id: str) -> tuple:
 
 # Mutants of the one-pass ``history_statistics``, each written as a wrapper
 # with the output of the code mutation it names.  Every claim on histories
-# is pinned: cor3.6 on xi and Props 4.3, 4.10 and 4.17 on the encodings
-# read the record.  (None, None) marks a claim that reads no mutated entry,
-# so it is no gap: cor3.3 and cor1.1 count A_n's exponents in
-# ``genfun._a_exponents`` (whose mutants are ``A_EXPONENT_MUTANTS``), and
-# only the linear view reads Asc.
+# is pinned: Props 4.3, 4.10 and 4.17 on the encodings read the record.
+# (None, None) marks a claim that reads no mutated entry, so it is no gap:
+# cor3.3 and cor1.1 count A_n's exponents in ``genfun._a_exponents``
+# (whose mutants are ``A_EXPONENT_MUTANTS``), cor3.6 reads W and xi(W) in
+# ``claims._reflects`` and builds records only to name a failure (whose
+# mutants are ``REFLECT_MUTANTS``), and only the linear view reads Asc.
 _HISTORY_CLAIMS = ("cor3.3", "cor3.6", "cor1.1", "prop4.3", "prop4.10", "prop4.17")
 HISTORY_STAT_MUTANTS = [
     (_asc_strict_for_every_step, [
         (None, None),
-        (3, "NDS/0,1,1: Asc: {2} != {}"),
+        (None, None),
         (None, None),
         (3, "3,2,1: Ides: {1,2} != {1}"),
         (None, None),
@@ -550,7 +557,7 @@ HISTORY_STAT_MUTANTS = [
     ]),
     (_cs_step_left_out_of_nde, [
         (None, None),
-        (2, "NS/0,1: Nde: {1} != {}"),
+        (None, None),
         (None, None),
         (2, "2,1: Db: {1} != {}"),
         (2, "2,1: Ep: {1} != {}"),
@@ -558,7 +565,7 @@ HISTORY_STAT_MUTANTS = [
     ]),
     (_step_after_cs_counted_before, [
         (None, None),
-        (2, "NS/0,1: Sdeb: {2} != {}"),
+        (None, None),
         (None, None),
         (2, "2,1: Dtb: {} != {2}"),
         (2, "2,1: Excb: {} != {2}"),
@@ -568,7 +575,7 @@ HISTORY_STAT_MUTANTS = [
     # raises there instead of failing a comparison.
     (_last_weight_dropped_from_wt, [
         (None, None),
-        (2, "NS/0,1: Wt: {} != {2}"),
+        (None, None),
         (None, None),
         (2, "raises ContainmentViolation"),
         (2, "raises ContainmentViolation"),
@@ -582,7 +589,9 @@ HISTORY_STAT_MUTANTS = [
 def test_history_statistics_mutants_fail_the_claims(monkeypatch, mutant, expected):
     _patch_everywhere(monkeypatch, _history_statistics, mutant)
     assert claims.history_statistics is mutant
-    assert [_first_failure_or_raise(claim) for claim in _HISTORY_CLAIMS] == expected
+    got = [_first_failure_or_raise(claim) for claim in _HISTORY_CLAIMS]
+    assert any(first != (None, None) for first in got), f"{mutant.__name__} survives"
+    assert got == expected
 
 
 # The same four mutations made in the counting pass ``genfun._a_exponents``,
@@ -636,6 +645,99 @@ def test_exponent_claims_build_no_statistic_record(monkeypatch):
     for n in range(1, 6):
         for claim in _EXPONENT_CLAIMS:
             assert run_claim(claim, n).status == "pass", (claim, n)
+
+
+def test_multiset_symmetry_builds_no_record_on_a_passing_history(monkeypatch):
+    # cor3.6 reads W and xi(W) in one pass and builds the two records only
+    # to name a failure; a claim that builds them on every history raises here.
+    def refuse(history):
+        raise AssertionError("history_statistics called")
+
+    _patch_everywhere(monkeypatch, _history_statistics, refuse)
+    for n in range(1, 7):
+        assert run_claim("cor3.6", n).status == "pass", n
+
+
+def _first_disagreement(reflects) -> int | None:
+    """The first n <= 5 at which ``reflects`` and the record oracle differ,
+    pass or fail, on some pair (W, V) of histories of length n."""
+    for n in range(0, 6):
+        if any(reflects(n, w_hist, v_hist) != (text is None)
+               for w_hist, v_hist, text in record_outcomes(n)):
+            return n
+    return None
+
+
+# Single-token mutants of cor3.6's reflected pass ``claims._reflects``, each
+# an AST rewrite of its source: (label, edits, the first n <= 5 at which it
+# disagrees with the record oracle on a pair of histories).  A rewrite that
+# makes the pass stricter leaves cor3.6's outcome as it is, since the
+# records then find no mismatch, so the pins compare the pass's own verdict.
+# Equivalent rewrites are left out: ``j > crit`` -> ``j >= crit`` in u
+# changes nothing, since the cs test has made step crit of V its critical
+# step, an NE step.
+REFLECT_MUTANTS = [
+    ("cs test run at n = 0",
+     [("n and critical_step(v_hist) != crit", "critical_step(v_hist) != crit")], 0),
+    ("crit off by one", [("n + 1 - critical_step(w_hist)", "n - critical_step(w_hist)")], 1),
+    ("class test run at cs", [("j != crit and ne == source_ne", "ne == source_ne")], 1),
+    ("Neb shift at cs", [("j < crit and ne", "j <= crit and ne")], 1),
+    ("Neb shift dropped", [("j < crit and ne", "False")], 2),
+    ("Sdea shift dropped", [("j > crit and (not ne)", "False")], 2),
+    ("height shift dropped", [("height != g_j + u", "height != g_j")], 2),
+    ("weight shift dropped", [("weight != b_j + u", "weight != b_j")], 2),
+    ("weight not compared", [("weight != b_j + u", "False")], 5),
+    ("Nde of V read off W", [("nde = image in NDE_STEPS", "nde = step in NDE_STEPS")], 2),
+    ("Nde of W read off V",
+     [("nde_before = step in NDE_STEPS", "nde_before = image in NDE_STEPS")], 2),
+    ("b_{j+1} read off W", [("weight_after = b_j", "weight_after = weight")], 2),
+    ("ascent of V strict for every step", [("low = b_j if ne else b_j - 1", "low = b_j")], 3),
+    ("ascent of W strict for every step",
+     [("low_before = weight if source_ne else weight - 1", "low_before = weight")], 3),
+    ("ascent of V not strict", [("low < weight_after", "low <= weight_after")], 2),
+    ("ascent of W not strict", [("low_before < weight", "low_before <= weight")], 2),
+]
+
+
+@pytest.mark.parametrize("label, edits, expected", REFLECT_MUTANTS,
+                         ids=[row[0] for row in REFLECT_MUTANTS])
+def test_reflect_mutants_disagree_with_the_record_oracle(label, edits, expected):
+    assert _first_disagreement(_rewritten("_reflects", edits, claims)) == expected
+
+
+def test_unmutated_reflect_rewrite_agrees_with_the_record_oracle():
+    assert _first_disagreement(_rewritten("_reflects", [], claims)) is None
+
+
+# Rewrites of ``claims._reflects`` that agree with the record oracle on
+# every pair of histories with n <= 5 (and on all 518,400 pairs at n = 6,
+# too many for this suite).  Cor 3.6's eight identities overlap on pairs of
+# valid histories: the class, Ht and Wt tests alone already fix V as xi(W)
+# at these sizes, so the test each rewrite weakens follows from the others.
+# They are a gap in what can catch a wrong xi, not a reason to loosen a
+# check: (label, edits, what implies the weakened test).
+REFLECT_SURVIVORS = [
+    ("cs test dropped", [("n and critical_step(v_hist) != crit", "False")],
+     "the Wt test makes b_crit = 0 and, with the class test, every b_j after crit positive"),
+    ("class test dropped", [("j != crit and ne == source_ne", "False")],
+     "the rest: dropped along with the Wt test it is caught at n = 5, with the Nde test at n = 4"),
+    ("height not compared", [("height != g_j + u", "False")],
+     "the cs, class and Nde tests fix every step of V, and so its heights"),
+    ("Nde test dropped", [("nde == nde_before", "False")],
+     "the cs, class and Ht tests fix every step of V"),
+    ("Asc test dropped", [("(low < weight_after) == (low_before < weight)", "False")],
+     "the cs, class and Wt tests fix every weight and step class of V"),
+    ("index n-1 skipped", [("j < n", "1 < j < n")],
+     "the class, Ht and Wt tests fix V as xi(W)"),
+    ("index 1 skipped", [("j < n", "j < n - 1")],
+     "the class, Ht and Wt tests fix V as xi(W)"),
+]
+
+
+@pytest.mark.parametrize("label, edits, reason", REFLECT_SURVIVORS,
+                         ids=[row[0] for row in REFLECT_SURVIVORS])
+def test_reflect_survivors_agree_with_the_record_oracle(label, edits, reason):
+    assert _first_disagreement(_rewritten("_reflects", edits, claims)) is None, label
 
 
 # Single-token mutants of the one-pass family builders

@@ -368,6 +368,8 @@ ERROR_EXITS = [
      "count must be positive and alpha nonnegative"),
     (["moments", "--alpha", "-1", "--count", "3"], 2,
      "count must be positive and alpha nonnegative"),
+    (["moments", "--alpha", "-3", "--count", "4"], 2,
+     "count must be positive and alpha nonnegative"),
     (["moments", "--alpha", "990", "--count", "11"], 2,
      "count + alpha must be at most 1000"),
     (["map", "--via", "fv", "not-a-perm"], 3,

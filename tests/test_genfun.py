@@ -18,6 +18,7 @@ from srlaguerre.genfun import (
     a_polynomial,
     jacobi_moments,
     joint_distribution,
+    laguerre_moments,
     qt_catalan,
     specialize,
 )
@@ -219,6 +220,13 @@ def test_jacobi_moments():
             lambda k: 2 * k + alpha + 1, lambda k: k * (k + alpha), 7)
         assert moments == [
             factorial(n + alpha) // factorial(alpha) for n in range(7)]
+
+
+@pytest.mark.parametrize("alpha", [-1, -3])
+def test_laguerre_moments_refuse_a_negative_alpha(alpha):
+    # Unchecked, alpha = -3 gave [1, -2, 2, 0] and alpha = -1 gave [1, 0, 0, 0].
+    with pytest.raises(ValueError, match=f"Laguerre alpha must be nonnegative, got {alpha}$"):
+        laguerre_moments(alpha, 4)
 
 
 def test_multipoly_json_round_trip():

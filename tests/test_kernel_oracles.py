@@ -43,7 +43,12 @@ permutations of size up to 1000; it reads sor off the dict-based
 reads A_n's exponents off a ``history_statistics`` record, the body that
 ``_a_exponents`` held before it became one counting pass; the two must
 agree on every history with n <= 7 and on random histories of size up to
-200.  The last tests check that
+200.  ``_record_multiset_symmetry`` is Cor 3.6's check as it compared two
+``history_statistics`` records before ``claims._reflects`` read it in one
+reflected pass over W and V; the two must agree, pass or first failure,
+on every pair (W, V) of histories of length n <= 5, and on random W of
+size up to 60 paired with xi(W) and with the image of an unrelated
+history.  The last tests check that
 no family builds a multiset from more than n items, and that a history's
 statistics build exactly ten multisets.
 """
@@ -53,14 +58,14 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import fields
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_large_properties import large_histories
+from test_large_properties import histories_of_length, large_histories
 from test_mahonian_table import _sorting_index as _old_sorting_index
 
 from srlaguerre.bijections import (
@@ -72,6 +77,13 @@ from srlaguerre.bijections import (
     phi_fz,
     phi_yzl,
     phi_yzl_inv,
+)
+from srlaguerre.claims import (
+    _first_mismatch,
+    _full_range,
+    _kap,
+    _multiset_symmetry,
+    _reflects,
 )
 from srlaguerre.genfun import _a_exponents
 from srlaguerre.histories import (
@@ -91,7 +103,7 @@ from srlaguerre.mfs_action import (
     mfs_phi_x,
     pattern_multisets_zero_boundary,
 )
-from srlaguerre.multiset import IntMultiset
+from srlaguerre.multiset import IntMultiset, kappa
 from srlaguerre.perm_stats import (
     CyclicStatRecord,
     LinearStatRecord,
@@ -1069,6 +1081,60 @@ def test_a_exponents_refuse_a_history_with_no_zero_weight(exponents):
     history = LaguerreHistory._unchecked((StepType.N, StepType.S), (0, 1), (1, 1))
     with pytest.raises(ValueError, match="no weight of NS/1,1 is 0"):
         exponents(history)
+
+
+# ---------------------------------------------------------------------------
+# Cor 3.6: the reflected pass against the record comparison
+# ---------------------------------------------------------------------------
+
+def _record_multiset_symmetry(n: int, w_hist: LaguerreHistory,
+                              v_hist: LaguerreHistory) -> str | None:
+    g = history_statistics(w_hist)
+    h = history_statistics(v_hist)
+    checks = [
+        ("Neb", g.Neb, _kap(n, h.Sdea)),
+        ("Sdeb", g.Sdeb, _kap(n, h.Nea)),
+        ("Nea", g.Nea, _kap(n, h.Sdeb)),
+        ("Sdea", g.Sdea, _kap(n, h.Neb)),
+        ("Ht", g.Ht, _kap(n, (h.Ht | h.Neb) - h.Sdea)),
+        ("Wt", g.Wt, _kap(n, (h.Wt | h.Neb) - h.Sdea)),
+        ("Nde", _full_range(n) - g.Nde, kappa(n, h.Nde)),
+        ("Asc", _full_range(n) - g.Asc, kappa(n, h.Asc)),
+    ]
+    return _first_mismatch(w_hist, checks)
+
+
+@lru_cache(maxsize=None)
+def record_outcomes(n: int) -> tuple:
+    """(W, V, the oracle's counterexample or None) for every pair of
+    histories of length n, W outside and V inside, in enumeration order."""
+    hists = tuple(enumerate_histories(n))
+    return tuple((w_hist, v_hist, _record_multiset_symmetry(n, w_hist, v_hist))
+                 for w_hist in hists for v_hist in hists)
+
+
+def test_multiset_symmetry_matches_record_oracle_on_every_small_pair():
+    for n in range(0, 6):
+        images = {w_hist: xi(w_hist) for w_hist in enumerate_histories(n)}
+        for w_hist, v_hist, expected in record_outcomes(n):
+            pair = (w_hist.to_text(), v_hist.to_text())
+            assert _reflects(n, w_hist, v_hist) == (expected is None), pair
+            assert _multiset_symmetry(n, w_hist, v_hist) == expected, pair
+            # At these sizes Cor 3.6 holds for exactly the pairs with V = xi(W).
+            assert (expected is None) == (v_hist == images[w_hist]), pair
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.tuples(histories_of_length(n), histories_of_length(n))))
+def test_multiset_symmetry_matches_record_oracle_on_large_pairs(histories):
+    w_hist, other = histories
+    n = w_hist.n
+    assert _reflects(n, w_hist, xi(w_hist))
+    for v_hist in (xi(w_hist), xi(other)):
+        expected = _record_multiset_symmetry(n, w_hist, v_hist)
+        assert _reflects(n, w_hist, v_hist) == (expected is None)
+        assert _multiset_symmetry(n, w_hist, v_hist) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ large_perms = st.integers(min_value=1, max_value=200).flatmap(
 
 
 @st.composite
-def large_histories(draw):
-    n = draw(st.integers(min_value=1, max_value=200))
+def histories_of_length(draw, n: int):
     steps, weights = [], []
     height = 0
     for i in range(n):
@@ -46,6 +45,10 @@ def large_histories(draw):
         steps.append(step)
         height += step.rise
     return LaguerreHistory(steps, weights)
+
+
+def large_histories():
+    return st.integers(min_value=1, max_value=200).flatmap(histories_of_length)
 
 
 _ENCODINGS = ((phi_fv, phi_fv_inv), (phi_fz, phi_fz_inv), (phi_yzl, phi_yzl_inv))
