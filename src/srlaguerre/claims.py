@@ -155,37 +155,26 @@ def _test_five_stat_symmetry(n: int, w_hist: LaguerreHistory) -> str | None:
 
 
 def _reflects(n: int, w_hist: LaguerreHistory, v_hist: LaguerreHistory) -> bool:
-    """Whether W and V meet Cor 3.6's eight identities, read pointwise in
-    one pass: step i of W against step j = n+1-i of V.
+    """Whether W and V meet Cor 3.6's eight identities.
 
-    The four class identities say that cs(V) = n+1-cs(W) and that, away
-    from cs, step i of W is NE exactly when step j of V is SdE.  The Ht and
-    Wt identities say h_i = g_j + u and c_i = b_j + u, with u = 1 when
-    j is in Neb(V), -1 when j is in Sdea(V), else 0.  The Nde and Asc
-    identities say that i-1 is in Nde(W), or Asc(W), exactly when j is not
-    in Nde(V), or Asc(V), with ``history_statistics``' ascent rule.
+    The class, Ht and Wt identities are xi's conditions 1-4, checked by
+    ``verify_xi_contract``.  The Nde and Asc identities are then read
+    pointwise in one pass, step i of W against step j = n+1-i of V: i-1 is
+    in Nde(W), or Asc(W), exactly when j is not in Nde(V), or Asc(V), with
+    ``history_statistics``' ascent rule.
     """
-    crit = n + 1 - critical_step(w_hist)
-    if n and critical_step(v_hist) != crit:
+    if not verify_xi_contract(w_hist, v_hist):
         return False
     # Step i-1 of W (its Nde flag and ascent threshold) and b_{j+1} of V.
     nde_before = low_before = weight_after = None
-    for j, step, height, weight, image, g_j, b_j in zip(
-            range(n, 0, -1), w_hist.w, w_hist.h, w_hist.c,
-            reversed(v_hist.w), reversed(v_hist.h), reversed(v_hist.c)):
-        ne = image in NE_STEPS
-        source_ne = step in NE_STEPS
-        if j != crit and ne == source_ne:
-            return False
-        u = (j < crit and ne) - (j > crit and not ne)
-        if height != g_j + u or weight != b_j + u:
-            return False
+    for j, step, weight, image, b_j in zip(
+            range(n, 0, -1), w_hist.w, w_hist.c, reversed(v_hist.w), reversed(v_hist.c)):
         nde = image in NDE_STEPS
-        low = b_j if ne else b_j - 1
+        low = b_j if image in NE_STEPS else b_j - 1
         if j < n and (nde == nde_before or (low < weight_after) == (low_before < weight)):
             return False
         nde_before = step in NDE_STEPS
-        low_before = weight if source_ne else weight - 1
+        low_before = weight if step in NE_STEPS else weight - 1
         weight_after = b_j
     return True
 

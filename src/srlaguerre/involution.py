@@ -11,6 +11,10 @@ V = (v, g, b) = xi(W) is determined by four conditions:
      g_j = h_{n+1-j}      otherwise;
   4. b_j = g_j - h_{n+1-j} + c_{n+1-j}.
 
+``verify_xi_contract`` is the single check of conditions 1-4: the
+thm3.2 claim calls it on (W, xi(W)), and cor3.6 calls it before testing
+its Nde and Asc identities.
+
 ``xi`` reads W once, left to right: step i of W fixes step n+1-i of V,
 so V is written right to left, starting from g_{n+1} = 0.  Step j of V is
 the step whose rise is g_{j+1} - g_j and whose class is the one from

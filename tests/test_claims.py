@@ -1,8 +1,8 @@
 """Tests for the claim runner: pinned counterexample strings, threads, and
 mutations of the encoders, the letter-class rule, the shared sweeps, the
 family loops, the encoding-claim table, its formulas, its conjugation
-pairs and the csz rows that the claims must catch, and mutations of cor3.6's
-reflected pass that its record oracle must notice."""
+pairs and the csz rows that the claims must catch, and mutations of xi's
+contract and of cor3.6's Nde/Asc pass that its record oracle must notice."""
 from __future__ import annotations
 
 import ast
@@ -37,6 +37,7 @@ from srlaguerre.bijections import (
 from srlaguerre.claims import claim_ids, run_claim
 from srlaguerre.cli import main
 from srlaguerre.histories import NDE_STEPS, NE_STEPS, LaguerreHistory, StepType
+from srlaguerre.involution import verify_xi_contract
 from srlaguerre.mfs_action import StarredClasses
 from srlaguerre.multiset import IntMultiset, OutOfRange
 from srlaguerre.perm_stats import Permutation, iter_perms, trivial_bijection
@@ -543,8 +544,9 @@ def _first_failure_or_raise(claim_id: str) -> tuple:
 # (None, None) marks a claim that reads no mutated entry, so it is no gap:
 # cor3.3 and cor1.1 count A_n's exponents in ``genfun._a_exponents``
 # (whose mutants are ``A_EXPONENT_MUTANTS``), cor3.6 reads W and xi(W) in
-# ``claims._reflects`` and builds records only to name a failure (whose
-# mutants are ``REFLECT_MUTANTS``), and only the linear view reads Asc.
+# ``verify_xi_contract`` and the Nde/Asc pass of ``claims._reflects`` and
+# builds records only to name a failure (the mutants of both are
+# ``REFLECT_MUTANTS``), and only the linear view reads Asc.
 _HISTORY_CLAIMS = ("cor3.3", "cor3.6", "cor1.1", "prop4.3", "prop4.10", "prop4.17")
 HISTORY_STAT_MUTANTS = [
     (_asc_strict_for_every_step, [
@@ -658,86 +660,102 @@ def test_multiset_symmetry_builds_no_record_on_a_passing_history(monkeypatch):
         assert run_claim("cor3.6", n).status == "pass", n
 
 
-def _first_disagreement(reflects) -> int | None:
-    """The first n <= 5 at which ``reflects`` and the record oracle differ,
-    pass or fail, on some pair (W, V) of histories of length n."""
+def _first_disagreement(function, edits) -> int | None:
+    """The first n <= 5 at which ``function`` rewritten by ``edits`` and the
+    record oracle differ, pass or fail, on some pair (W, V) of histories of
+    length n.  ``verify_xi_contract`` is called on (W, V), ``_reflects`` on
+    (n, W, V)."""
+    mutant = _rewritten(function.__name__, edits, inspect.getmodule(function))
+    verdict = (mutant if function is claims._reflects
+               else lambda n, w_hist, v_hist: mutant(w_hist, v_hist))
     for n in range(0, 6):
-        if any(reflects(n, w_hist, v_hist) != (text is None)
+        if any(verdict(n, w_hist, v_hist) != (text is None)
                for w_hist, v_hist, text in record_outcomes(n)):
             return n
     return None
 
 
-# Single-token mutants of cor3.6's reflected pass ``claims._reflects``, each
-# an AST rewrite of its source: (label, edits, the first n <= 5 at which it
-# disagrees with the record oracle on a pair of histories).  A rewrite that
-# makes the pass stricter leaves cor3.6's outcome as it is, since the
-# records then find no mismatch, so the pins compare the pass's own verdict.
-# Equivalent rewrites are left out: ``j > crit`` -> ``j >= crit`` in u
-# changes nothing, since the cs test has made step crit of V its critical
-# step, an NE step.
+# Single-token mutants of cor3.6's two checks, each an AST rewrite of its
+# source: (label, function, edits, the first n <= 5 at which it disagrees
+# with the record oracle on a pair of histories).  ``_reflects`` accepts a
+# pair only if ``involution.verify_xi_contract`` does, which checks xi's
+# conditions 1-4 (Cor 3.6's class, Ht and Wt identities) and which the
+# thm3.2 claim calls too; its own pass then tests the Nde and Asc
+# identities.  At n <= 5 the record oracle accepts exactly the pairs with
+# V = xi(W), so a contract row is pinned where the contract first accepts
+# other than xi's images.  A rewrite that makes a check stricter leaves
+# cor3.6's outcome as it is, since the records then find no mismatch, so
+# the pins compare the checks' own verdicts.  Equivalent rewrites are left
+# out: ``j > crit`` -> ``j >= crit`` in the contract changes nothing, since
+# step crit of V must be NE.
 REFLECT_MUTANTS = [
-    ("cs test run at n = 0",
-     [("n and critical_step(v_hist) != crit", "critical_step(v_hist) != crit")], 0),
-    ("crit off by one", [("n + 1 - critical_step(w_hist)", "n - critical_step(w_hist)")], 1),
-    ("class test run at cs", [("j != crit and ne == source_ne", "ne == source_ne")], 1),
-    ("Neb shift at cs", [("j < crit and ne", "j <= crit and ne")], 1),
-    ("Neb shift dropped", [("j < crit and ne", "False")], 2),
-    ("Sdea shift dropped", [("j > crit and (not ne)", "False")], 2),
-    ("height shift dropped", [("height != g_j + u", "height != g_j")], 2),
-    ("weight shift dropped", [("weight != b_j + u", "weight != b_j")], 2),
-    ("weight not compared", [("weight != b_j + u", "False")], 5),
-    ("Nde of V read off W", [("nde = image in NDE_STEPS", "nde = step in NDE_STEPS")], 2),
-    ("Nde of W read off V",
+    ("cs test run at n = 0", verify_xi_contract, [("n == 0", "False")], 0),
+    ("crit off by one", verify_xi_contract, [("n + 1 - m", "n - m")], 1),
+    ("class test run at cs", verify_xi_contract,
+     [("if not ne:\n    return False",
+       "if not ne or ne == (w_hist.w[n - j] in NE_STEPS):\n    return False")], 1),
+    ("class test dropped", verify_xi_contract,
+     [("ne == (w_hist.w[n - j] in NE_STEPS)", "False")], 3),
+    ("Neb shift at cs", verify_xi_contract, [("j < crit and ne", "j <= crit and ne")], 1),
+    ("Neb shift dropped", verify_xi_contract, [("j < crit and ne", "False")], 2),
+    ("Sdea shift dropped", verify_xi_contract, [("j > crit and (not ne)", "False")], 2),
+    ("height shift dropped", verify_xi_contract, [("g[j - 1] != expected", "g[j - 1] != hj")], 2),
+    ("height not compared", verify_xi_contract, [("g[j - 1] != expected", "False")], 4),
+    ("weight shift dropped", verify_xi_contract,
+     [("b[j - 1] != g[j - 1] - hj + c[n - j]", "b[j - 1] != c[n - j]")], 2),
+    ("weight not compared", verify_xi_contract,
+     [("b[j - 1] != g[j - 1] - hj + c[n - j]", "False")], 4),
+    ("Nde of V read off W", claims._reflects,
+     [("nde = image in NDE_STEPS", "nde = step in NDE_STEPS")], 2),
+    ("Nde of W read off V", claims._reflects,
      [("nde_before = step in NDE_STEPS", "nde_before = image in NDE_STEPS")], 2),
-    ("b_{j+1} read off W", [("weight_after = b_j", "weight_after = weight")], 2),
-    ("ascent of V strict for every step", [("low = b_j if ne else b_j - 1", "low = b_j")], 3),
-    ("ascent of W strict for every step",
-     [("low_before = weight if source_ne else weight - 1", "low_before = weight")], 3),
-    ("ascent of V not strict", [("low < weight_after", "low <= weight_after")], 2),
-    ("ascent of W not strict", [("low_before < weight", "low_before <= weight")], 2),
+    ("b_{j+1} read off W", claims._reflects, [("weight_after = b_j", "weight_after = weight")], 2),
+    ("ascent of V strict for every step", claims._reflects,
+     [("low = b_j if image in NE_STEPS else b_j - 1", "low = b_j")], 3),
+    ("ascent of W strict for every step", claims._reflects,
+     [("low_before = weight if step in NE_STEPS else weight - 1", "low_before = weight")], 3),
+    ("ascent of V not strict", claims._reflects, [("low < weight_after", "low <= weight_after")], 2),
+    ("ascent of W not strict", claims._reflects,
+     [("low_before < weight", "low_before <= weight")], 2),
 ]
 
 
-@pytest.mark.parametrize("label, edits, expected", REFLECT_MUTANTS,
+@pytest.mark.parametrize("label, function, edits, expected", REFLECT_MUTANTS,
                          ids=[row[0] for row in REFLECT_MUTANTS])
-def test_reflect_mutants_disagree_with_the_record_oracle(label, edits, expected):
-    assert _first_disagreement(_rewritten("_reflects", edits, claims)) == expected
+def test_reflect_mutants_disagree_with_the_record_oracle(label, function, edits, expected):
+    assert _first_disagreement(function, edits) == expected
 
 
 def test_unmutated_reflect_rewrite_agrees_with_the_record_oracle():
-    assert _first_disagreement(_rewritten("_reflects", [], claims)) is None
+    for function in (verify_xi_contract, claims._reflects):
+        assert _first_disagreement(function, []) is None, function.__name__
 
 
-# Rewrites of ``claims._reflects`` that agree with the record oracle on
+# Rewrites of cor3.6's two checks that agree with the record oracle on
 # every pair of histories with n <= 5 (and on all 518,400 pairs at n = 6,
-# too many for this suite).  Cor 3.6's eight identities overlap on pairs of
-# valid histories: the class, Ht and Wt tests alone already fix V as xi(W)
-# at these sizes, so the test each rewrite weakens follows from the others.
-# They are a gap in what can catch a wrong xi, not a reason to loosen a
-# check: (label, edits, what implies the weakened test).
+# too many for this suite): (label, function, edits, what implies the
+# weakened test).  They are a gap in what can catch a wrong xi, not a
+# reason to loosen a check.  The Nde and Asc tests reject no pair that the
+# contract accepts at these sizes, so weakening them changes no verdict.
 REFLECT_SURVIVORS = [
-    ("cs test dropped", [("n and critical_step(v_hist) != crit", "False")],
-     "the Wt test makes b_crit = 0 and, with the class test, every b_j after crit positive"),
-    ("class test dropped", [("j != crit and ne == source_ne", "False")],
-     "the rest: dropped along with the Wt test it is caught at n = 5, with the Nde test at n = 4"),
-    ("height not compared", [("height != g_j + u", "False")],
-     "the cs, class and Nde tests fix every step of V, and so its heights"),
-    ("Nde test dropped", [("nde == nde_before", "False")],
-     "the cs, class and Ht tests fix every step of V"),
-    ("Asc test dropped", [("(low < weight_after) == (low_before < weight)", "False")],
-     "the cs, class and Wt tests fix every weight and step class of V"),
-    ("index n-1 skipped", [("j < n", "1 < j < n")],
-     "the class, Ht and Wt tests fix V as xi(W)"),
-    ("index 1 skipped", [("j < n", "j < n - 1")],
-     "the class, Ht and Wt tests fix V as xi(W)"),
+    ("cs test dropped", verify_xi_contract, [("critical_step(v_hist) != crit", "False")],
+     "condition 4 makes b_crit = 0 and, with condition 2, every b_j after crit positive"),
+    ("Nde test dropped", claims._reflects, [("nde == nde_before", "False")],
+     "the contract fixes V as xi(W)"),
+    ("Asc test dropped", claims._reflects,
+     [("(low < weight_after) == (low_before < weight)", "False")],
+     "the contract fixes V as xi(W)"),
+    ("index n-1 skipped", claims._reflects, [("j < n", "1 < j < n")],
+     "the contract fixes V as xi(W)"),
+    ("index 1 skipped", claims._reflects, [("j < n", "j < n - 1")],
+     "the contract fixes V as xi(W)"),
 ]
 
 
-@pytest.mark.parametrize("label, edits, reason", REFLECT_SURVIVORS,
+@pytest.mark.parametrize("label, function, edits, reason", REFLECT_SURVIVORS,
                          ids=[row[0] for row in REFLECT_SURVIVORS])
-def test_reflect_survivors_agree_with_the_record_oracle(label, edits, reason):
-    assert _first_disagreement(_rewritten("_reflects", edits, claims)) is None, label
+def test_reflect_survivors_agree_with_the_record_oracle(label, function, edits, reason):
+    assert _first_disagreement(function, edits) is None, label
 
 
 # Single-token mutants of the one-pass family builders

@@ -46,6 +46,21 @@ def test_defining_conditions_exhaustive():
             assert verify_xi_contract(w, xi(w))
 
 
+def test_contract_accepts_exactly_the_images_of_xi():
+    # Every pair of histories with n <= 5, so a contract that accepted more
+    # than (W, xi(W)) would fail here.
+    pairs = accepted = 0
+    for n in range(0, 6):
+        hists = list(enumerate_histories(n))
+        for w in hists:
+            image = xi(w)
+            for v in hists:
+                assert verify_xi_contract(w, v) == (v == image), (w.to_text(), v.to_text())
+                pairs += 1
+                accepted += v == image
+    assert (pairs, accepted) == (15018, 154)
+
+
 def test_critical_step_reflected():
     for n in range(1, 7):
         for w in enumerate_histories(n):

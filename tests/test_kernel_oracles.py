@@ -44,8 +44,8 @@ reads A_n's exponents off a ``history_statistics`` record, the body that
 ``_a_exponents`` held before it became one counting pass; the two must
 agree on every history with n <= 7 and on random histories of size up to
 200.  ``_record_multiset_symmetry`` is Cor 3.6's check as it compared two
-``history_statistics`` records before ``claims._reflects`` read it in one
-reflected pass over W and V; the two must agree, pass or first failure,
+``history_statistics`` records before ``claims._reflects`` read it off
+xi's contract and one Nde/Asc pass over W and V; the two must agree, pass or first failure,
 on every pair (W, V) of histories of length n <= 5, and on random W of
 size up to 60 paired with xi(W) and with the image of an unrelated
 history.  The last tests check that
@@ -1084,7 +1084,7 @@ def test_a_exponents_refuse_a_history_with_no_zero_weight(exponents):
 
 
 # ---------------------------------------------------------------------------
-# Cor 3.6: the reflected pass against the record comparison
+# Cor 3.6: the contract and the Nde/Asc pass against the record comparison
 # ---------------------------------------------------------------------------
 
 def _record_multiset_symmetry(n: int, w_hist: LaguerreHistory,

@@ -1,6 +1,6 @@
-"""Bijection, involution and transport properties on random permutations
-and random histories of size up to 200, far past the sizes the claims sweep
-exhaustively.
+"""Bijection, involution, history-claim and transport properties on random
+permutations and random histories of size up to 200, far past the sizes the
+claims sweep exhaustively.
 
 Random histories are drawn directly, step by step: a step is allowed when
 the path can still return to the axis, and each weight is drawn inside its
@@ -83,6 +83,13 @@ def test_xi_on_random_histories(h):
     assert xi(v) == h
     assert verify_xi_contract(h, v)
     assert check_against_table(h, v) is None
+
+
+@pytest.mark.parametrize("claim", ["thm3.2-involution", "cor3.3", "cor3.6", "cor1.1"])
+@settings(deadline=None, max_examples=25)
+@given(h=large_histories())
+def test_history_claims_hold(claim, h):
+    assert get_claim(claim).test(h.n, h) is None
 
 
 @pytest.mark.parametrize(
